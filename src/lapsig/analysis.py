@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import Cosupport, Graph, connected_components, laplacian
-from .linalg import ZERO_FLOOR, pseudoinverse, rank
+from .linalg import ZERO_FLOOR, _require_finite, pseudoinverse, rank
 
 __all__ = [
     "sampling_matrix",
@@ -31,6 +31,10 @@ __all__ = [
     "spark_pinv",
     "spark_bruteforce",
 ]
+
+UNIQUENESS_GAP_TOL = 1e-6  # smallest measurement gap a uniqueness probe accepts
+MIN_SEPARATION = 1e-2  # least distance between the two unit signals of a trial
+INDEPENDENCE_TOL = 1e-8  # singular value at or below which columns are dependent
 
 
 def sampling_matrix(indices, n: int) -> np.ndarray:
@@ -134,7 +138,7 @@ def cosparsity(g: Graph, x, tol: float = 1e-9) -> tuple[int, Cosupport]:
     ||Lx||_inf itself drops to the 1e-12 floor every vertex counts as
     annihilated.
     """
-    vec = np.asarray(x, dtype=float)
+    vec = _require_finite(x, "signal")
     if vec.shape != (g.n,):
         raise ValueError(f"signal shape {vec.shape} does not match n={g.n}")
     lx = laplacian(g) @ vec
@@ -191,17 +195,10 @@ class UniquenessCheck:
     passed: bool
     min_gap: float
     trials: int
-    gap_tol: float
 
 
 def randomized_uniqueness_check(
-    g: Graph,
-    l: int,
-    m: int,
-    trials: int = 100,
-    seed: int = 42,
-    gap_tol: float = 1e-6,
-    min_separation: float = 1e-2,
+    g: Graph, l: int, m: int, trials: int = 100, seed: int = 42
 ) -> UniquenessCheck:
     """Empirical at-most-one-solution probe (evidence, not proof).
 
@@ -227,13 +224,13 @@ def randomized_uniqueness_check(
                 basis = nullspace_basis(g, Cosupport(g.n, members), l_pinv=l_pinv)
                 vec = basis.matrix() @ rng.standard_normal(basis.dim)
                 pair.append(vec / max(float(np.linalg.norm(vec)), ZERO_FLOOR))
-            if float(np.linalg.norm(pair[0] - pair[1])) >= min_separation:
+            if float(np.linalg.norm(pair[0] - pair[1])) >= MIN_SEPARATION:
                 break
         else:
             raise RuntimeError("could not draw two separated cosparse signals")
         gap = float(np.linalg.norm(mat @ (pair[0] - pair[1])))
         min_gap = min(min_gap, gap)
-    return UniquenessCheck(min_gap > gap_tol, float(min_gap), trials, gap_tol)
+    return UniquenessCheck(min_gap > UNIQUENESS_GAP_TOL, float(min_gap), trials)
 
 
 def spark_pinv(g: Graph) -> int:
@@ -248,11 +245,11 @@ def spark_pinv(g: Graph) -> int:
     return g.n
 
 
-def spark_bruteforce(a, independence_tol: float = 1e-8) -> int:
+def spark_bruteforce(a) -> int:
     """Smallest number of linearly dependent columns, by exhaustive search.
 
     A subset counts as dependent when its smallest singular value drops to
-    ``independence_tol`` or below.  Returns ncols + 1 when every subset is
+    ``INDEPENDENCE_TOL`` or below.  Returns ncols + 1 when every subset is
     independent.  Exponential; intended for n <= 8 cross-checks.
     """
     arr = np.atleast_2d(np.asarray(a, dtype=float))
@@ -260,6 +257,6 @@ def spark_bruteforce(a, independence_tol: float = 1e-8) -> int:
     for size in range(1, ncols + 1):
         for subset in itertools.combinations(range(ncols), size):
             s = np.linalg.svd(arr[:, list(subset)], compute_uv=False)
-            if s.size < size or s[size - 1] <= independence_tol:
+            if s.size < size or s[size - 1] <= INDEPENDENCE_TOL:
                 return size
     return ncols + 1

@@ -30,11 +30,21 @@ __all__ = [
     "perturbation_factor",
     "transform_inverse",
     "pinv_factorization",
+    "pinv_residual_allowance",
     "DecayProfile",
     "decay_profile",
     "representer_to_json",
     "representer_from_json",
 ]
+
+ROW_SYM_RTOL = 1e-10  # |row - mirrored row| allowed, relative to max(|row|_max, 1)
+PINV_RESIDUAL_RTOL = 1e-8  # pinv_factorization residual, relative to max(|L^+|_max, 1)
+
+
+def _circulant(row: np.ndarray) -> np.ndarray:
+    """Circulant matrix whose row i is ``row`` shifted cyclically by i."""
+    idx = np.arange(row.size)
+    return row[(idx[None, :] - idx[:, None]) % row.size]
 
 
 @dataclass(frozen=True)
@@ -71,8 +81,7 @@ class RepresenterPolynomial:
         return row
 
     def to_matrix(self) -> np.ndarray:
-        row = self.first_row()
-        return np.stack([np.roll(row, shift) for shift in range(self.n)])
+        return _circulant(self.first_row())
 
     def eigenvalues(self) -> np.ndarray:
         """Values at the n-th roots of unity, ordered by frequency k = 0..n-1."""
@@ -84,12 +93,12 @@ class RepresenterPolynomial:
         return lam
 
     @classmethod
-    def from_first_row(cls, row, sym_rtol: float = 1e-10) -> "RepresenterPolynomial":
+    def from_first_row(cls, row) -> "RepresenterPolynomial":
         """Fold a symmetric circulant first row back into coefficients."""
         arr = np.asarray(row, dtype=float)
         n = arr.size
         flipped = np.roll(arr[::-1], 1)  # flipped[i] == arr[(n - i) % n]
-        if np.abs(arr - flipped).max() > sym_rtol * max(float(np.abs(arr).max()), 1.0):
+        if np.abs(arr - flipped).max() > ROW_SYM_RTOL * max(float(np.abs(arr).max()), 1.0):
             raise ValueError("first row is not symmetric")
         co = list(arr[: n // 2 + 1])
         while len(co) > 1 and co[-1] == 0.0:
@@ -158,27 +167,25 @@ def poly_multiply_mod(
     return RepresenterPolynomial.from_first_row(out)
 
 
+def _cycle_pinv_value(n: int, shift):
+    """Cycle pseudoinverse entry at index offset ``shift`` (|shift| < n)."""
+    return (n - 1) * (n + 1) / (12.0 * n) - abs(shift) / 2.0 + shift * shift / (2.0 * n)
+
+
 def cycle_pinv_entry(n: int, i: int, j: int) -> float:
     """Closed-form entry (i, j) of the simple-cycle Laplacian pseudoinverse."""
     if n < 3:
         raise ValueError("a simple cycle needs n >= 3")
     if not (0 <= i < n and 0 <= j < n):
         raise ValueError(f"indices ({i}, {j}) out of range for n={n}")
-    shift = j - i
-    return (n - 1) * (n + 1) / (12.0 * n) - abs(shift) / 2.0 + shift * shift / (2.0 * n)
+    return _cycle_pinv_value(n, j - i)
 
 
 def cycle_pinv(n: int) -> np.ndarray:
     """Simple-cycle Laplacian pseudoinverse from its closed form (no eigensolve)."""
     if n < 3:
         raise ValueError("a simple cycle needs n >= 3")
-    idx = np.arange(n)
-    shift = idx[None, :] - idx[:, None]
-    return (
-        (n - 1) * (n + 1) / (12.0 * n)
-        - np.abs(shift) / 2.0
-        + shift.astype(float) ** 2 / (2.0 * n)
-    )
+    return _circulant(_cycle_pinv_value(n, np.arange(n)))
 
 
 def perturbation_factor(spec: CirculantSpec) -> RepresenterPolynomial:
@@ -213,8 +220,7 @@ def transform_inverse(poly: RepresenterPolynomial) -> np.ndarray:
     lam = poly.eigenvalues()
     if float(np.abs(lam).min()) <= ZERO_FLOOR:
         raise ValueError("representer has a (near-)zero eigenvalue; not invertible")
-    row = np.real(np.fft.ifft(1.0 / lam))
-    return np.stack([np.roll(row, shift) for shift in range(poly.n)])
+    return _circulant(np.real(np.fft.ifft(1.0 / lam)))
 
 
 def pinv_factorization(
@@ -232,6 +238,11 @@ def pinv_factorization(
         l_pinv = pseudoinverse(laplacian(compile_circulant(spec)))
     residual = float(np.abs(p_inv @ cycle_pinv(spec.n) - l_pinv).max())
     return p_inv, residual
+
+
+def pinv_residual_allowance(l_pinv: np.ndarray) -> float:
+    """Largest pinv_factorization residual accepted for a given L^+."""
+    return PINV_RESIDUAL_RTOL * max(1.0, float(np.abs(l_pinv).max()))
 
 
 @dataclass(frozen=True)

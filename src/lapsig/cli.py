@@ -32,7 +32,8 @@ from .graphs import (
     laplacian,
     parse_edge_list,
 )
-from .linalg import mpp_axiom_residuals, pseudoinverse, rank, save_matrix_csv
+from .linalg import eig_symmetric, mpp_axiom_residuals, pseudoinverse, rank
+from .linalg import save_matrix_csv
 from .svgplot import line_plot_svg
 from .synthesis import structured_sparsity_check, synthesize
 from .verification import run_all
@@ -88,17 +89,11 @@ def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _write_signal_csv(path: Path, x) -> None:
-    vec = np.asarray(x, dtype=float)
+def _write_indexed_csv(path: Path, *columns) -> None:
+    """One line per vertex: its index, then each column's value there."""
     with open(path, "w") as fh:
-        for i, v in enumerate(vec):
-            fh.write(f"{i:d},{v:.16e}\n")
-
-
-def _write_atoms_csv(path: Path, atom_a, atom_b, diff) -> None:
-    with open(path, "w") as fh:
-        for i, (a, b, d) in enumerate(zip(atom_a, atom_b, diff)):
-            fh.write(f"{i:d},{a:.16e},{b:.16e},{d:.16e}\n")
+        for i, row in enumerate(zip(*columns)):
+            fh.write(f"{i:d}," + ",".join(f"{v:.16e}" for v in row) + "\n")
 
 
 # ----------------------------------------------------------------------
@@ -111,7 +106,8 @@ def cmd_operators(args) -> int:
     out = _out_dir(args)
     lap = laplacian(g)
     inc = incidence(g)
-    l_pinv = pseudoinverse(lap)
+    dec = eig_symmetric(lap)
+    l_pinv = dec.pinv()
     s_pinv = l_pinv @ inc.T
     save_matrix_csv(out / "L.csv", lap)
     save_matrix_csv(out / "S.csv", inc)
@@ -125,7 +121,7 @@ def cmd_operators(args) -> int:
     report = {
         "n": g.n,
         "edges": g.num_edges,
-        "rank": rank(lap),
+        "rank": dec.rank,
         "components": comps,
         "projection_residual": projection,
         "mpp_axiom_residuals": mpp_axiom_residuals(lap, l_pinv),
@@ -159,7 +155,7 @@ def cmd_figures(args) -> int:
         else:
             diff = synthesize(g, (i, j), (1.0, -1.0), l_pinv=l_pinv)
         differences[tag] = diff
-        _write_atoms_csv(out / f"atoms_{tag}.csv", atom_a, atom_b, diff)
+        _write_indexed_csv(out / f"atoms_{tag}.csv", atom_a, atom_b, diff)
         hop_label = ",".join(str(h) for h in spec.hops)
         line_plot_svg(
             out / f"atoms_{tag}.svg",
@@ -168,7 +164,7 @@ def cmd_figures(args) -> int:
             xlabel="vertex",
             ylabel="value",
         )
-    _write_signal_csv(out / "signal_banded.csv", differences["banded"])
+    _write_indexed_csv(out / "signal_banded.csv", differences["banded"])
     line_plot_svg(
         out / "signal_banded.svg",
         [(f"atom {i} minus atom {j}", differences["banded"])],
@@ -251,7 +247,7 @@ def cmd_synth(args) -> int:
         coeffs = [1.0 if t % 2 == 0 else -1.0 for t in range(len(support))]
     x = synthesize(g, support, coeffs)
     out = _out_dir(args)
-    _write_signal_csv(out / "signal.csv", x)
+    _write_indexed_csv(out / "signal.csv", x)
     dense_coeffs = np.zeros(g.n)
     dense_coeffs[support] = coeffs
     structured = structured_sparsity_check(dense_coeffs, tol=args.tol)

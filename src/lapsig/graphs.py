@@ -38,6 +38,8 @@ __all__ = [
     "format_edge_list",
 ]
 
+LOCALIZATION_RTOL = 1e-12  # |L^k| allowed beyond k hops, relative to max(|L^k|_max, 1)
+
 
 @dataclass(frozen=True)
 class Graph:
@@ -120,13 +122,6 @@ class CirculantSpec:
     @property
     def hops(self) -> tuple[int, ...]:
         return tuple(s for s, _ in self.generators)
-
-    def weight_of(self, hop: int) -> float:
-        """Weight of a hop, 0 for hops outside the generating set."""
-        for s, d in self.generators:
-            if s == hop:
-                return d
-        return 0.0
 
 
 @dataclass(frozen=True)
@@ -254,7 +249,7 @@ def hop_distances(g: Graph) -> np.ndarray:
     return dist
 
 
-def khop_localization_check(g: Graph, k: int, tol: float = 1e-12) -> bool:
+def khop_localization_check(g: Graph, k: int) -> bool:
     """Whether L^k vanishes at every pair further than k hops apart."""
     if k < 1:
         raise ValueError("hop order k must be >= 1")
@@ -264,7 +259,7 @@ def khop_localization_check(g: Graph, k: int, tol: float = 1e-12) -> bool:
     if not far.any():
         return True
     scale = max(float(np.abs(lk).max()), 1.0)
-    return bool(np.abs(lk[far]).max() <= tol * scale)
+    return bool(np.abs(lk[far]).max() <= LOCALIZATION_RTOL * scale)
 
 
 # ----------------------------------------------------------------------
@@ -320,19 +315,13 @@ def random_connected_graph(
 
 
 def random_circulant_spec(
-    n: int,
-    rng: np.random.Generator,
-    weights: str = "unit",
-    require_unit_hop: bool = True,
+    n: int, rng: np.random.Generator, weights: str = "unit"
 ) -> CirculantSpec:
-    """Random generating set with bandwidth < n/2, optionally forcing hop 1."""
+    """Random generating set with hop 1 and bandwidth < n/2."""
     max_hop = (n - 1) // 2
     if max_hop < 1:
         raise ValueError("need n >= 3 for a strict-band generating set")
-    if require_unit_hop:
-        hops = {1}
-    else:
-        hops = {int(rng.integers(1, max_hop + 1))}
+    hops = {1}
     for h in range(2, max_hop + 1):
         if len(hops) >= 4:
             break

@@ -2,8 +2,8 @@
 subspace comparison with explicit, scale-relative tolerances.
 
 Conventions used throughout the package:
-  * tolerances are relative to the data's magnitude with an absolute floor
-    of 1e-12 (``ZERO_FLOOR``);
+  * tolerances are fixed module constants, relative to the data's
+    magnitude with an absolute floor of 1e-12 (``ZERO_FLOOR``);
   * an eigenvalue or singular value counts as zero once it falls to or
     below ``size * machine_eps * largest``, the standard rank-revealing
     cutoff, so a connected-graph Laplacian always reports exactly one zero
@@ -18,8 +18,9 @@ import numpy as np
 
 __all__ = [
     "ZERO_FLOOR",
+    "SYM_RTOL",
+    "SUBSPACE_TOL",
     "EigenDecomposition",
-    "scaled_tol",
     "eig_symmetric",
     "pseudoinverse",
     "rank",
@@ -32,12 +33,9 @@ __all__ = [
 ]
 
 ZERO_FLOOR = 1e-12
+SYM_RTOL = 1e-12  # |A - A^T| eig_symmetric allows, relative to max(|A|_max, 1)
+SUBSPACE_TOL = 1e-9  # projection residual at which column spaces count as equal
 _EPS = float(np.finfo(float).eps)
-
-
-def scaled_tol(scale: float, rel: float = 1e-9) -> float:
-    """Relative tolerance with the library-wide absolute floor."""
-    return max(rel * abs(scale), ZERO_FLOOR)
 
 
 def _require_finite(a, name: str = "matrix") -> np.ndarray:
@@ -58,11 +56,31 @@ class EigenDecomposition:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
+    @property
+    def cutoff(self) -> float:
+        """Eigenvalues at or below this magnitude count as exact zeros."""
+        lam = self.eigenvalues
+        return _zero_cutoff(lam.size, float(np.abs(lam).max()) if lam.size else 0.0)
 
-def eig_symmetric(a, sym_rtol: float = 1e-12) -> EigenDecomposition:
+    @property
+    def rank(self) -> int:
+        """Number of eigenvalues above the zero cutoff."""
+        return int(np.count_nonzero(np.abs(self.eigenvalues) > self.cutoff))
+
+    def pinv(self) -> np.ndarray:
+        """Moore-Penrose pseudoinverse: eigenvalues above the cutoff are inverted
+        and the result is symmetrised, so the Penrose axioms hold to rounding."""
+        lam = self.eigenvalues
+        inv = np.zeros_like(lam)
+        np.divide(1.0, lam, out=inv, where=np.abs(lam) > self.cutoff)
+        out = (self.eigenvectors * inv) @ self.eigenvectors.T
+        return 0.5 * (out + out.T)
+
+
+def eig_symmetric(a) -> EigenDecomposition:
     """Eigendecomposition of a symmetric matrix.
 
-    Inputs whose asymmetry exceeds ``sym_rtol`` relative to the largest
+    Inputs whose asymmetry exceeds ``SYM_RTOL`` relative to the largest
     entry are rejected; the solve itself runs on the symmetrised matrix so
     tiny representational asymmetry cannot leak into the factors.
     """
@@ -70,45 +88,30 @@ def eig_symmetric(a, sym_rtol: float = 1e-12) -> EigenDecomposition:
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {arr.shape}")
     gap = float(np.abs(arr - arr.T).max()) if arr.size else 0.0
-    if gap > sym_rtol * max(float(np.abs(arr).max()), 1.0):
+    if gap > SYM_RTOL * max(float(np.abs(arr).max()), 1.0):
         raise ValueError(
             f"matrix is not symmetric: max |A - A^T| = {gap:.3e} exceeds the "
-            f"{sym_rtol:.1e} relative tolerance"
+            f"{SYM_RTOL:.1e} relative tolerance"
         )
     w, u = np.linalg.eigh(0.5 * (arr + arr.T))
     return EigenDecomposition(w, u)
 
 
-def pseudoinverse(a, zero_tol: float | None = None) -> np.ndarray:
-    """Moore-Penrose pseudoinverse of a symmetric matrix via eigendecomposition.
-
-    Eigenvalues at or below the cutoff (``n * eps * |lambda|_max`` unless a
-    ``zero_tol`` is supplied) are treated as exact zeros and excluded from
-    inversion.  The result is symmetrised, so all four Penrose axioms hold
-    to rounding accuracy.
-    """
-    dec = eig_symmetric(a)
-    lam = dec.eigenvalues
-    largest = float(np.abs(lam).max()) if lam.size else 0.0
-    cut = _zero_cutoff(lam.size, largest) if zero_tol is None else zero_tol
-    inv = np.zeros_like(lam)
-    mask = np.abs(lam) > cut
-    np.divide(1.0, lam, out=inv, where=mask)
-    out = (dec.eigenvectors * inv) @ dec.eigenvectors.T
-    return 0.5 * (out + out.T)
+def pseudoinverse(a) -> np.ndarray:
+    """Moore-Penrose pseudoinverse of a symmetric matrix via eigendecomposition."""
+    return eig_symmetric(a).pinv()
 
 
-def rank(a, zero_tol: float | None = None) -> int:
-    """Numerical rank: singular values above the rank-revealing cutoff."""
+def rank(a) -> int:
+    """Numerical rank of any matrix: singular values above the rank-revealing cutoff."""
     arr = np.atleast_2d(_require_finite(a))
     if arr.size == 0:
         return 0
     s = np.linalg.svd(arr, compute_uv=False)
-    cut = _zero_cutoff(max(arr.shape), float(s.max())) if zero_tol is None else zero_tol
-    return int(np.count_nonzero(s > cut))
+    return int(np.count_nonzero(s > _zero_cutoff(max(arr.shape), float(s.max()))))
 
 
-def nullspace_oracle(a, zero_tol: float | None = None) -> np.ndarray:
+def nullspace_oracle(a) -> np.ndarray:
     """Orthonormal basis of the nullspace, straight from the SVD.
 
     Deliberately independent of any closed-form nullspace construction so
@@ -120,12 +123,11 @@ def nullspace_oracle(a, zero_tol: float | None = None) -> np.ndarray:
     if rows == 0:
         return np.eye(cols)
     _, s, vt = np.linalg.svd(arr, full_matrices=True)
-    cut = _zero_cutoff(max(rows, cols), float(s.max())) if zero_tol is None else zero_tol
-    r = int(np.count_nonzero(s > cut))
+    r = int(np.count_nonzero(s > _zero_cutoff(max(rows, cols), float(s.max()))))
     return vt[r:].T
 
 
-def orthonormal_range(a, zero_tol: float | None = None) -> np.ndarray:
+def orthonormal_range(a) -> np.ndarray:
     """Orthonormal basis of the column space."""
     arr = np.atleast_2d(_require_finite(a))
     if arr.shape[1] == 0:
@@ -133,16 +135,15 @@ def orthonormal_range(a, zero_tol: float | None = None) -> np.ndarray:
     u, s, _ = np.linalg.svd(arr, full_matrices=False)
     if s.size == 0:
         return np.zeros((arr.shape[0], 0))
-    cut = _zero_cutoff(max(arr.shape), float(s.max())) if zero_tol is None else zero_tol
-    return u[:, s > cut]
+    return u[:, s > _zero_cutoff(max(arr.shape), float(s.max()))]
 
 
-def column_space_equal(a, b, tol: float = 1e-9) -> bool:
+def column_space_equal(a, b) -> bool:
     """Whether two matrices span the same column space.
 
     True iff the numerical ranks agree and each orthonormal basis projects
-    onto the other with entrywise residual at most ``tol`` (equivalently,
-    all principal angles vanish at that resolution).
+    onto the other with entrywise residual at most ``SUBSPACE_TOL``
+    (equivalently, all principal angles vanish at that resolution).
     """
     qa = orthonormal_range(a)
     qb = orthonormal_range(b)
@@ -152,10 +153,9 @@ def column_space_equal(a, b, tol: float = 1e-9) -> bool:
         return False
     if qa.shape[1] == 0:
         return True
-    allow = max(tol, ZERO_FLOOR)
     res_a = float(np.abs(qa - qb @ (qb.T @ qa)).max())
     res_b = float(np.abs(qb - qa @ (qa.T @ qb)).max())
-    return max(res_a, res_b) <= allow
+    return max(res_a, res_b) <= SUBSPACE_TOL
 
 
 def mpp_axiom_residuals(a, a_pinv) -> dict[str, float]:

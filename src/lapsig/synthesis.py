@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circulant import cycle_laplacian, perturbation_factor, pinv_factorization
+from .circulant import cycle_laplacian, perturbation_factor
+from .circulant import pinv_factorization, pinv_residual_allowance
 from .graphs import (
     CirculantSpec,
     Cosupport,
@@ -25,7 +26,7 @@ from .graphs import (
     incidence,
     laplacian,
 )
-from .linalg import ZERO_FLOOR, pseudoinverse
+from .linalg import ZERO_FLOOR, _require_finite, pseudoinverse
 from .analysis import nullspace_basis
 
 __all__ = [
@@ -43,7 +44,7 @@ __all__ = [
     "absorb_discontinuity",
 ]
 
-KNOT_TOL = 1e-7
+KNOT_TOL = 1e-7  # relative size at which an entry or a difference counts as nonzero
 
 
 def synthesize(
@@ -63,7 +64,7 @@ def synthesize(
             raise ValueError(f"support index {i} out of range for n={g.n}")
     if len(set(sup)) != len(sup):
         raise ValueError("support indices must be distinct")
-    vec = np.asarray(coeffs, dtype=float)
+    vec = _require_finite(coeffs, "coefficients")
     if vec.shape != (len(sup),):
         raise ValueError(
             f"coefficient count {vec.shape} does not match support size {len(sup)}"
@@ -99,9 +100,7 @@ def edge_knot_residual(g: Graph) -> float:
     return float(np.abs(lap @ (pseudoinverse(lap) @ st) - st).max())
 
 
-def two_hop_knot_check(
-    g: Graph, j: int, knot_tol: float = KNOT_TOL
-) -> tuple[float, bool | None]:
+def two_hop_knot_check(g: Graph, j: int) -> tuple[float, bool | None]:
     """Knot localisation of the pseudoinverse atom j under the squared Laplacian.
 
     Returns (residual, knot_match) where residual = ||L^2 L^+ - L||_inf and
@@ -121,16 +120,16 @@ def two_hop_knot_check(
     if not (hop_distances(g) > 2).any():
         return residual, None
     col = lap2 @ l_pinv[:, j]
-    detected = _support(col, knot_tol)
+    detected = _support(col)
     expected = frozenset(int(i) for i in np.flatnonzero(lap[:, j] != 0.0))
     return residual, detected == expected
 
 
-def _support(vec: np.ndarray, tol: float) -> frozenset[int]:
+def _support(vec: np.ndarray) -> frozenset[int]:
     scale = float(np.abs(vec).max())
     if scale <= ZERO_FLOOR:
         return frozenset()
-    return frozenset(int(i) for i in np.flatnonzero(np.abs(vec) > tol * scale))
+    return frozenset(int(i) for i in np.flatnonzero(np.abs(vec) > KNOT_TOL * scale))
 
 
 def cyclic_difference(x, order: int) -> np.ndarray:
@@ -168,14 +167,12 @@ class PiecewiseProfile:
         return max(real) if real else 0
 
 
-def piecewise_degree_profile(
-    x, annihilator_order: int = 2, tol: float = KNOT_TOL
-) -> PiecewiseProfile:
+def piecewise_degree_profile(x, annihilator_order: int = 2) -> PiecewiseProfile:
     """Locate knots and fit per-segment polynomial degrees of a cyclic signal.
 
     The annihilator is the cyclic finite difference of the given order.  An
     index is a knot when the annihilator output there deviates from the
-    output's median by more than tol relative to the largest deviation; the
+    output's median by more than KNOT_TOL relative to the largest deviation; the
     median removes the constant background that a pure curvature term (for
     example the 1/n second difference of a quadratic atom) would otherwise
     spread across every vertex.  Segment degrees are fitted with plain
@@ -191,7 +188,7 @@ def piecewise_degree_profile(
     if scale <= ZERO_FLOOR:
         knots: tuple[int, ...] = ()
     else:
-        knots = tuple(int(i) for i in np.flatnonzero(dev > tol * scale))
+        knots = tuple(int(i) for i in np.flatnonzero(dev > KNOT_TOL * scale))
     if not knots:
         segments: tuple[tuple[int, ...], ...] = (tuple(range(n)),)
     else:
@@ -206,19 +203,19 @@ def piecewise_degree_profile(
             runs.append(tuple(run))
         segments = tuple(runs)
     degrees = tuple(
-        _segment_degree(vec[list(run)], tol) if run else None for run in segments
+        _segment_degree(vec[list(run)]) if run else None for run in segments
     )
     return PiecewiseProfile(knots, segments, degrees, annihilator_order)
 
 
-def _segment_degree(vals: np.ndarray, tol: float) -> int:
+def _segment_degree(vals: np.ndarray) -> int:
     """Smallest degree whose successive differences vanish on the segment."""
     m = vals.size
     if m <= 1:
         return 0
     scale = max(float(np.abs(vals).max()), 1.0)
     for p in range(0, m - 1):
-        if float(np.abs(np.diff(vals, p + 1)).max()) <= tol * scale:
+        if float(np.abs(np.diff(vals, p + 1)).max()) <= KNOT_TOL * scale:
             return p
     return m - 1
 
@@ -254,9 +251,7 @@ class DegreeReport:
         return self.analysis_ok and self.synthesis_ok and self.residual_ok
 
 
-def model_degree_report(
-    spec: CirculantSpec, cosupport: Cosupport, tol: float = KNOT_TOL
-) -> DegreeReport:
+def model_degree_report(spec: CirculantSpec, cosupport: Cosupport) -> DegreeReport:
     """Verify the smoothness split between the analysis and synthesis models.
 
     Checks, on the circulant graph of ``spec``: (a) every unperturbed
@@ -277,7 +272,7 @@ def model_degree_report(
     analysis_ok = True
     perturbed_dev = 0.0
     for col in basis.smooth_part.T:
-        prof = piecewise_degree_profile(p_mat @ col, 2, tol)
+        prof = piecewise_degree_profile(p_mat @ col, 2)
         analysis_ok &= set(prof.knots) <= comp
         analysis_deg = max(analysis_deg, prof.max_degree)
         raw = cyclic_difference(col, 2)
@@ -289,20 +284,19 @@ def model_degree_report(
     synthesis_deg = 0
     synthesis_ok = True
     for j in range(g.n):
-        prof = piecewise_degree_profile(p_mat @ l_pinv[:, j], 2, tol)
+        prof = piecewise_degree_profile(p_mat @ l_pinv[:, j], 2)
         synthesis_ok &= prof.knots == (j,)
         synthesis_deg = max(synthesis_deg, prof.max_degree)
     synthesis_ok &= synthesis_deg <= 2
 
     _, residual = pinv_factorization(spec, l_pinv=l_pinv)
-    residual_tol = 1e-8 * max(1.0, float(np.abs(l_pinv).max()))
     return DegreeReport(
         analysis_max_degree=analysis_deg,
         analysis_ok=analysis_ok,
         synthesis_max_degree=synthesis_deg,
         synthesis_ok=synthesis_ok,
         factorization_residual=residual,
-        residual_tol=residual_tol,
+        residual_tol=pinv_residual_allowance(l_pinv),
         perturbed_offknot_second_difference=perturbed_dev,
     )
 
@@ -347,7 +341,7 @@ class AbsorptionReport:
 
 
 def absorb_discontinuity(
-    spec: CirculantSpec, j: int, k: int, l: int, knot_tol: float = KNOT_TOL
+    spec: CirculantSpec, j: int, k: int, l: int
 ) -> tuple[np.ndarray, np.ndarray, AbsorptionReport]:
     """Coefficients that absorb the banded factor into the basis choice.
 
@@ -371,9 +365,9 @@ def absorb_discontinuity(
     x = pseudoinverse(lap) @ p
     cyc_out = cycle_laplacian(spec.n) @ x
     report = AbsorptionReport(
-        cycle_support=tuple(sorted(_support(cyc_out, knot_tol))),
+        cycle_support=tuple(sorted(_support(cyc_out))),
         cycle_support_expected=tuple(sorted({(j + k) % spec.n, (j + l) % spec.n})),
-        laplacian_support=tuple(sorted(_support(lap @ x, knot_tol))),
-        laplacian_support_expected=tuple(sorted(_support(p, knot_tol))),
+        laplacian_support=tuple(sorted(_support(lap @ x))),
+        laplacian_support_expected=tuple(sorted(_support(p))),
     )
     return p, x, report

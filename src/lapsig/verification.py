@@ -29,6 +29,15 @@ __all__ = [
     "run_all",
 ]
 
+# Tolerances the suites enforce and report in their details.
+AXIOM_RTOL = 1e-9  # Penrose residual relative to max(|L|_max, 1)
+PROJECTION_TOL = 1e-9  # |L L^+ - (I - 11^T/n)|_max
+PRODUCT_TOL = 1e-12  # |P L_C - L|_max for real weights; integer weights must hit 0
+INVERSE_RTOL = 1e-10  # dense vs transform inverse, relative to max(|P^-1|_max, 1)
+CYCLE_PINV_TOL = 1e-9  # closed-form vs eigensolve cycle pseudoinverse
+COMPLETE_GRAPH_TOL = 1e-10  # complete-graph closed-form residuals
+MPP_MAX_N, NULLSPACE_MAX_N, CLOSURE_MAX_N, COMPLETE_GRAPH_MAX_N = 64, 24, 20, 32
+
 
 @dataclass
 class SuiteResult:
@@ -44,15 +53,16 @@ def _note_failure(details: dict, message: str) -> None:
     details.setdefault("first_failure", message)
 
 
-def mpp_axiom_suite(seed: int = 42, graph_count: int = 50, max_n: int = 64) -> SuiteResult:
+def mpp_axiom_suite(seed: int = 42, graph_count: int = 50) -> SuiteResult:
     """Penrose axioms plus the centring-projection identity on random graphs."""
     rng = np.random.default_rng(seed)
-    details: dict = {"graphs": graph_count, "axiom_rtol": 1e-9, "projection_tol": 1e-9}
+    details: dict = {"graphs": graph_count, "axiom_rtol": AXIOM_RTOL,
+                     "projection_tol": PROJECTION_TOL}
     passed = True
     worst_axiom = 0.0
     worst_proj = 0.0
     for _ in range(graph_count):
-        n = int(rng.integers(3, max_n + 1))
+        n = int(rng.integers(3, MPP_MAX_N + 1))
         g = graphs.random_connected_graph(n, rng)
         lap = graphs.laplacian(g)
         l_pinv = linalg.pseudoinverse(lap)
@@ -62,10 +72,10 @@ def mpp_axiom_suite(seed: int = 42, graph_count: int = 50, max_n: int = 64) -> S
         worst_axiom = max(worst_axiom, rel)
         proj = float(np.abs(lap @ l_pinv - (np.eye(n) - np.ones((n, n)) / n)).max())
         worst_proj = max(worst_proj, proj)
-        if rel > 1e-9:
+        if rel > AXIOM_RTOL:
             passed = False
             _note_failure(details, f"penrose axiom residual {rel:.3e} on n={n}")
-        if proj > 1e-9:
+        if proj > PROJECTION_TOL:
             passed = False
             _note_failure(details, f"projection residual {proj:.3e} on n={n}")
     details["max_axiom_residual_rel"] = worst_axiom
@@ -73,15 +83,13 @@ def mpp_axiom_suite(seed: int = 42, graph_count: int = 50, max_n: int = 64) -> S
     return SuiteResult("mpp_axioms", passed, details)
 
 
-def nullspace_vs_oracle_suite(
-    seed: int = 42, trials: int = 200, max_n: int = 24
-) -> SuiteResult:
+def nullspace_vs_oracle_suite(seed: int = 42, trials: int = 200) -> SuiteResult:
     """Closed-form sampled-Laplacian nullspace basis against the SVD oracle."""
     rng = np.random.default_rng(seed)
-    details: dict = {"trials": trials, "subspace_tol": 1e-9}
+    details: dict = {"trials": trials, "subspace_tol": linalg.SUBSPACE_TOL}
     passed = True
     for _ in range(trials):
-        n = int(rng.integers(3, max_n + 1))
+        n = int(rng.integers(3, NULLSPACE_MAX_N + 1))
         g = graphs.random_connected_graph(n, rng)
         size = int(rng.integers(0, n))  # |cosupport| < n
         members = tuple(sorted(int(i) for i in rng.choice(n, size=size, replace=False)))
@@ -106,9 +114,9 @@ def factorization_suite(seed: int = 42, trials: int = 100) -> SuiteResult:
     rng = np.random.default_rng(seed)
     details: dict = {
         "trials": trials,
-        "product_tol_float": 1e-12,
-        "pinv_residual_rtol": 1e-8,
-        "inverse_agreement_rtol": 1e-10,
+        "product_tol_float": PRODUCT_TOL,
+        "pinv_residual_rtol": circulant.PINV_RESIDUAL_RTOL,
+        "inverse_agreement_rtol": INVERSE_RTOL,
     }
     passed = True
     worst_product = 0.0
@@ -124,7 +132,8 @@ def factorization_suite(seed: int = 42, trials: int = 100) -> SuiteResult:
         lap = graphs.laplacian(graphs.compile_circulant(spec))
         product_gap = float(np.abs(p_mat @ circulant.cycle_laplacian(n) - lap).max())
         worst_product = max(worst_product, product_gap)
-        exact_ok = product_gap == 0.0 if kind in ("integer", "unit") else product_gap < 1e-12
+        exact = kind in ("integer", "unit")
+        exact_ok = product_gap == 0.0 if exact else product_gap < PRODUCT_TOL
         if not exact_ok:
             passed = False
             _note_failure(details, f"factor product gap {product_gap:.3e} (n={n}, {kind})")
@@ -133,14 +142,14 @@ def factorization_suite(seed: int = 42, trials: int = 100) -> SuiteResult:
             _note_failure(details, f"factor not positive definite (n={n})")
         l_pinv = linalg.pseudoinverse(lap)
         p_inv, residual = circulant.pinv_factorization(spec, l_pinv=l_pinv)
-        allow = 1e-8 * max(1.0, float(np.abs(l_pinv).max()))
-        worst_pinv = max(worst_pinv, residual / max(allow, 1e-300))
+        allow = circulant.pinv_residual_allowance(l_pinv)
+        worst_pinv = max(worst_pinv, residual / allow)
         if residual > allow:
             passed = False
             _note_failure(details, f"pinv split residual {residual:.3e} (n={n})")
         via_transform = circulant.transform_inverse(factor)
         agree = float(np.abs(p_inv - via_transform).max())
-        allow_inv = 1e-10 * max(1.0, float(np.abs(p_inv).max()))
+        allow_inv = INVERSE_RTOL * max(1.0, float(np.abs(p_inv).max()))
         worst_agreement = max(worst_agreement, agree / allow_inv)
         if agree > allow_inv:
             passed = False
@@ -151,12 +160,12 @@ def factorization_suite(seed: int = 42, trials: int = 100) -> SuiteResult:
     return SuiteResult("cycle_factorization", passed, details)
 
 
-def cycle_pinv_suite(n_min: int = 3, n_max: int = 128) -> SuiteResult:
-    """Closed-form cycle pseudoinverse against the dense eigensolve."""
-    details: dict = {"n_range": [n_min, n_max], "tol": 1e-9}
+def cycle_pinv_suite(n_max: int = 128) -> SuiteResult:
+    """Closed-form cycle pseudoinverse against the dense eigensolve, n = 3..n_max."""
+    details: dict = {"n_range": [3, n_max], "tol": CYCLE_PINV_TOL}
     passed = True
     worst = 0.0
-    for n in range(n_min, n_max + 1):
+    for n in range(3, n_max + 1):
         gap = float(
             np.abs(
                 circulant.cycle_pinv(n)
@@ -164,7 +173,7 @@ def cycle_pinv_suite(n_min: int = 3, n_max: int = 128) -> SuiteResult:
             ).max()
         )
         worst = max(worst, gap)
-        if gap > 1e-9:
+        if gap > CYCLE_PINV_TOL:
             passed = False
             _note_failure(details, f"closed form off by {gap:.3e} at n={n}")
     details["max_gap"] = worst
@@ -199,9 +208,7 @@ def model_degree_suite() -> SuiteResult:
     return SuiteResult("model_degrees", passed, details)
 
 
-def closure_suite(
-    seed: int = 42, trials: int = 25, max_n: int = 20, inject_coeffs=None
-) -> SuiteResult:
+def closure_suite(seed: int = 42, trials: int = 25, inject_coeffs=None) -> SuiteResult:
     """Analysis-to-synthesis loop closure.
 
     Signals built from a nullspace basis must be annihilated on their
@@ -214,7 +221,7 @@ def closure_suite(
     details: dict = {"trials": trials}
     passed = True
     for _ in range(trials):
-        n = int(rng.integers(4, max_n + 1))
+        n = int(rng.integers(4, CLOSURE_MAX_N + 1))
         g = graphs.random_connected_graph(n, rng)
         size = int(rng.integers(1, n))
         members = tuple(sorted(int(i) for i in rng.choice(n, size=size, replace=False)))
@@ -242,28 +249,29 @@ def uniqueness_suite(seed: int = 42, trials: int = 100) -> SuiteResult:
     level = 4
     m = analysis.uniqueness_bound(g.n, level)
     check = analysis.randomized_uniqueness_check(g, level, m, trials=trials, seed=seed)
+    gap_tol = analysis.UNIQUENESS_GAP_TOL
     details = {
         "n": g.n,
         "cosparsity": level,
         "measurements": m,
         "trials": check.trials,
         "min_gap": check.min_gap,
-        "gap_tol": check.gap_tol,
+        "gap_tol": gap_tol,
     }
     if not check.passed:
-        _note_failure(details, f"measurement gap {check.min_gap:.3e} under {check.gap_tol:.0e}")
+        _note_failure(details, f"measurement gap {check.min_gap:.3e} under {gap_tol:.0e}")
     return SuiteResult("uniqueness_randomized", check.passed, details)
 
 
-def complete_graph_suite(n_max: int = 32) -> SuiteResult:
+def complete_graph_suite() -> SuiteResult:
     """Closed-form pseudoinverse identities on complete graphs."""
-    details: dict = {"n_range": [2, n_max], "tol": 1e-10}
+    details: dict = {"n_range": [2, COMPLETE_GRAPH_MAX_N], "tol": COMPLETE_GRAPH_TOL}
     passed = True
     worst = 0.0
-    for n in range(2, n_max + 1):
+    for n in range(2, COMPLETE_GRAPH_MAX_N + 1):
         res_s, res_l = synthesis.complete_graph_identities(n)
         worst = max(worst, res_s, res_l)
-        if max(res_s, res_l) > 1e-10:
+        if max(res_s, res_l) > COMPLETE_GRAPH_TOL:
             passed = False
             _note_failure(details, f"complete-graph residual {max(res_s, res_l):.3e} at n={n}")
     details["max_residual"] = worst
@@ -297,7 +305,9 @@ def absorption_suite() -> SuiteResult:
 
 
 def run_all(seed: int = 42, trials: int | None = None) -> list[SuiteResult]:
-    """Run every suite; ``trials`` overrides each randomized suite's count."""
+    """Run every suite; ``trials`` >= 1 overrides each randomized suite's count."""
+    if trials is not None and trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     return [
         mpp_axiom_suite(seed=seed, graph_count=trials or 50),
         nullspace_vs_oracle_suite(seed=seed, trials=trials or 200),

@@ -187,6 +187,11 @@ class TestCosparsity:
         assert count == 0
         assert cos.members == ()
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_signal(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            cosparsity(cycle_graph(5), [bad] * 5)
+
 
 class TestCosparseDimension:
     def test_closed_form(self):

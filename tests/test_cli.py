@@ -50,6 +50,7 @@ class TestOperators:
         assert main(["operators", "--graph", str(graph), "--out", str(out)]) == 0
         report = _read_json(out / "report.json")
         assert report["components"] == 2
+        assert report["rank"] == 2
         assert report["projection_residual"] is None
         assert (out / "Lpinv.csv").exists()
 
@@ -113,10 +114,33 @@ class TestVerify:
         out = tmp_path / "verify"
         main(["verify", "--trials", "4", "--out", str(out)])
         suites = {s["name"]: s["details"] for s in _read_json(out / "verify.json")["suites"]}
-        assert suites["mpp_axioms"]["axiom_rtol"] == 1e-9
+        tolerances = {
+            "mpp_axioms": {"axiom_rtol": 1e-9, "projection_tol": 1e-9},
+            "nullspace_basis_vs_oracle": {"subspace_tol": 1e-9},
+            "cycle_factorization": {
+                "product_tol_float": 1e-12,
+                "pinv_residual_rtol": 1e-8,
+                "inverse_agreement_rtol": 1e-10,
+            },
+            "cycle_pinv_closed_form": {"tol": 1e-9},
+            "model_degrees": {},
+            "analysis_synthesis_closure": {},
+            "uniqueness_randomized": {"gap_tol": 1e-6},
+            "complete_graph_identities": {"tol": 1e-10},
+            "discontinuity_absorption": {},
+        }
+        assert set(suites) == set(tolerances)
+        for name, expected in tolerances.items():
+            reported = {k: v for k, v in suites[name].items() if "tol" in k}
+            assert reported == expected, name
         assert "max_axiom_residual_rel" in suites["mpp_axioms"]
-        assert suites["cycle_pinv_closed_form"]["tol"] == 1e-9
         assert "min_gap" in suites["uniqueness_randomized"]
+
+    @pytest.mark.parametrize("trials", ["-1", "0"])
+    def test_rejects_trials_below_one(self, tmp_path, trials):
+        out = tmp_path / "verify"
+        assert main(["verify", "--trials", trials, "--out", str(out)]) == 2
+        assert not (out / "verify.json").exists()
 
     def test_deterministic_given_seed(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -254,3 +278,19 @@ class TestSynth:
         )
         assert code == 0
         assert _read_json(out / "report.json")["coeffs"] == [1.0, -1.0]
+
+    def test_non_finite_coefficient_is_usage_error(self, tmp_path):
+        code = main(
+            [
+                "synth",
+                "--circulant",
+                FOUR_CYCLE,
+                "--support",
+                "0,2",
+                "--coeffs",
+                "nan,1",
+                "--out",
+                str(tmp_path / "synth"),
+            ]
+        )
+        assert code == 2

@@ -119,6 +119,17 @@ class TestRank:
             perm = rng.permutation(n)
             assert rank(lap[np.ix_(perm, perm)]) == rank(lap)
 
+    def test_eigen_rank_matches_svd_rank(self):
+        rng = np.random.default_rng(3)
+        mats = [np.zeros((4, 4)), laplacian(compile_circulant(CirculantSpec(6, ((2, 1.0),))))]
+        for _ in range(20):
+            n = int(rng.integers(3, 40))
+            mats.append(laplacian(random_connected_graph(n, rng, weights="uniform")))
+        for mat in mats:
+            dec = eig_symmetric(mat)
+            assert dec.rank == rank(mat)
+            np.testing.assert_array_equal(dec.pinv(), pseudoinverse(mat))
+
 
 class TestNullspaceOracle:
     def test_connected_laplacian_constant_vector(self):

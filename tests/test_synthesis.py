@@ -78,6 +78,10 @@ class TestSynthesize:
         with pytest.raises(ValueError, match="count"):
             synthesize(g, (1, 2), (1.0,))
 
+    def test_rejects_non_finite_coefficients(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            synthesize(cycle_graph(5), (0, 1), (np.nan, 1.0))
+
 
 class TestStructuredSparsity:
     def test_zero_sum_pulse_passes(self):
