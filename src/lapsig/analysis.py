@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import Cosupport, Graph, connected_components, laplacian
-from .linalg import ZERO_FLOOR, _require_finite, pseudoinverse, rank
+from .linalg import ZERO_FLOOR, _require_finite, _require_nullity, eig_symmetric
+from .linalg import pseudoinverse, rank
 
 __all__ = [
     "sampling_matrix",
@@ -87,6 +88,14 @@ class NullspaceBasis:
         return 1 + self.smooth_part.shape[1]
 
 
+def _connected_pinv(g: Graph) -> np.ndarray:
+    """Dense L^+ of a connected graph, refused when the graph is numerically
+    disconnected (more than one eigenvalue at or below the zero cutoff)."""
+    dec = eig_symmetric(laplacian(g))
+    _require_nullity(dec.eigenvalues, dec.cutoff, 1)
+    return dec.pinv()
+
+
 def nullspace_basis(
     g: Graph, cosupport: Cosupport, l_pinv: np.ndarray | None = None
 ) -> NullspaceBasis:
@@ -97,8 +106,9 @@ def nullspace_basis(
     vector together with  L^+ Psi_complement^T W,  W the zero-sum basis.
 
     Raises for disconnected graphs (the per-component block model is out of
-    scope) and for a full cosupport (annihilating every row leaves span{1};
-    there is nothing left to sample).
+    scope), for graphs the eigensolve sees as disconnected when ``l_pinv``
+    is not given, and for a full cosupport (annihilating every row leaves
+    span{1}; there is nothing left to sample).
     """
     if cosupport.n != g.n:
         raise ValueError("cosupport and graph sizes differ")
@@ -111,7 +121,7 @@ def nullspace_basis(
             "sampled basis is defined"
         )
     if l_pinv is None:
-        l_pinv = pseudoinverse(laplacian(g))
+        l_pinv = _connected_pinv(g)
     w = zero_sum_basis(len(comp))
     smooth = l_pinv @ sampling_matrix(comp, g.n).T @ w
     return NullspaceBasis(cosupport, np.ones(g.n), smooth)

@@ -12,18 +12,20 @@ the row and is therefore counted once in the evaluation.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .graphs import CirculantSpec, compile_circulant, laplacian
-from .linalg import ZERO_FLOOR, pseudoinverse
+from .linalg import ZERO_FLOOR, _require_nullity, _zero_cutoff, pseudoinverse
 
 __all__ = [
     "RepresenterPolynomial",
     "cycle_representer",
     "cycle_laplacian",
     "laplacian_representer",
+    "laplacian_pinv",
     "poly_multiply_mod",
     "cycle_pinv_entry",
     "cycle_pinv",
@@ -45,6 +47,17 @@ def _circulant(row: np.ndarray) -> np.ndarray:
     """Circulant matrix whose row i is ``row`` shifted cyclically by i."""
     idx = np.arange(row.size)
     return row[(idx[None, :] - idx[:, None]) % row.size]
+
+
+def _inverse_row(recip: np.ndarray) -> np.ndarray:
+    """First row of the symmetric circulant with eigenvalues ``recip``.
+
+    ``recip`` is ordered by frequency k = 0..n-1.  The inverse DFT is
+    symmetrised (row[i] == row[-i mod n] exactly), so the circulant built
+    from it is exactly symmetric.
+    """
+    row = np.real(np.fft.ifft(recip))
+    return 0.5 * (row + np.roll(row[::-1], 1))
 
 
 @dataclass(frozen=True)
@@ -149,6 +162,37 @@ def laplacian_representer(spec: CirculantSpec) -> RepresenterPolynomial:
     return RepresenterPolynomial(spec.n, tuple(co))
 
 
+def _laplacian_row(spec: CirculantSpec) -> np.ndarray:
+    """First Laplacian row of a circulant graph; the wrap hop n/2 counts once."""
+    row = np.zeros(spec.n)
+    for s, d in spec.generators:
+        row[s] -= d
+        if 2 * s != spec.n:
+            row[spec.n - s] -= d
+    row[0] = -row.sum()  # the common degree: Laplacian rows sum to zero
+    return row
+
+
+def laplacian_pinv(spec: CirculantSpec) -> np.ndarray:
+    """Moore-Penrose pseudoinverse of a circulant-graph Laplacian, without an
+    eigensolve.
+
+    The DFT diagonalises every circulant, so the Laplacian's eigenvalues are
+    the DFT of its first row.  Eigenvalues at or below the zero cutoff the
+    dense eigensolve uses count as zero; the rest are inverted, and L^+ is
+    the circulant whose first row is the inverse DFT of those reciprocals.
+    Any spec is accepted, the wrap hop n/2 and disconnected generating sets
+    included.  The graph has gcd(n, s_1, ..., s_k) components; a zero count
+    that differs (a weight too small against the others) raises ValueError.
+    """
+    lam = np.fft.fft(_laplacian_row(spec)).real
+    cutoff = _zero_cutoff(spec.n, float(np.abs(lam).max()))
+    _require_nullity(lam, cutoff, math.gcd(spec.n, *spec.hops))
+    recip = np.zeros(spec.n)
+    np.divide(1.0, lam, out=recip, where=np.abs(lam) > cutoff)
+    return _circulant(_inverse_row(recip))
+
+
 def poly_multiply_mod(
     a: RepresenterPolynomial, b: RepresenterPolynomial
 ) -> RepresenterPolynomial:
@@ -220,7 +264,7 @@ def transform_inverse(poly: RepresenterPolynomial) -> np.ndarray:
     lam = poly.eigenvalues()
     if float(np.abs(lam).min()) <= ZERO_FLOOR:
         raise ValueError("representer has a (near-)zero eigenvalue; not invertible")
-    return _circulant(np.real(np.fft.ifft(1.0 / lam)))
+    return _circulant(_inverse_row(1.0 / lam))
 
 
 def pinv_factorization(

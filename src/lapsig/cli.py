@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import cosparsity, nullspace_basis
+from .circulant import laplacian_pinv
 from .graphs import (
     CirculantSpec,
     Cosupport,
@@ -32,7 +33,7 @@ from .graphs import (
     laplacian,
     parse_edge_list,
 )
-from .linalg import eig_symmetric, mpp_axiom_residuals, pseudoinverse, rank
+from .linalg import eig_symmetric, mpp_axiom_residuals, rank
 from .linalg import save_matrix_csv
 from .svgplot import line_plot_svg
 from .synthesis import structured_sparsity_check, synthesize
@@ -69,14 +70,21 @@ def _load_spec_argument(value: str) -> CirculantSpec:
     return circulant_spec_from_json(text)
 
 
-def _load_graph(args) -> Graph:
+def _load_graph(args) -> tuple[Graph, CirculantSpec | None]:
+    """The input graph, with its generating set when given by --circulant."""
     if getattr(args, "graph", None):
         path = Path(args.graph)
         text = path.read_text()
         if path.suffix == ".json" or text.lstrip().startswith("{"):
-            return graph_from_json(text)
-        return parse_edge_list(text)
-    return compile_circulant(_load_spec_argument(args.circulant))
+            return graph_from_json(text), None
+        return parse_edge_list(text), None
+    spec = _load_spec_argument(args.circulant)
+    return compile_circulant(spec), spec
+
+
+def _spectral_pinv(spec: CirculantSpec | None) -> np.ndarray | None:
+    """L^+ by the DFT for a circulant input; None leaves the dense path."""
+    return None if spec is None else laplacian_pinv(spec)
 
 
 def _out_dir(args) -> Path:
@@ -102,7 +110,7 @@ def _write_indexed_csv(path: Path, *columns) -> None:
 
 
 def cmd_operators(args) -> int:
-    g = _load_graph(args)
+    g, _ = _load_graph(args)
     out = _out_dir(args)
     lap = laplacian(g)
     inc = incidence(g)
@@ -148,7 +156,7 @@ def cmd_figures(args) -> int:
     differences = {}
     for tag, spec in panels.items():
         g = compile_circulant(spec)
-        l_pinv = pseudoinverse(laplacian(g))
+        l_pinv = laplacian_pinv(spec)
         atom_a, atom_b = l_pinv[:, i], l_pinv[:, j]
         if i == j:
             diff = np.zeros(args.n)
@@ -209,9 +217,9 @@ def _cosupport_from_args(args, n: int) -> Cosupport:
 
 
 def cmd_analysis_basis(args) -> int:
-    g = _load_graph(args)
+    g, spec = _load_graph(args)
     cos = _cosupport_from_args(args, g.n)
-    basis = nullspace_basis(g, cos)
+    basis = nullspace_basis(g, cos, l_pinv=_spectral_pinv(spec))
     mat = basis.matrix()
     out = _out_dir(args)
     save_matrix_csv(out / "basis.csv", mat)
@@ -239,13 +247,13 @@ def cmd_analysis_basis(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    g = _load_graph(args)
+    g, spec = _load_graph(args)
     support = _parse_indices(args.support)
     if args.coeffs is not None:
         coeffs = _parse_floats(args.coeffs)
     else:
         coeffs = [1.0 if t % 2 == 0 else -1.0 for t in range(len(support))]
-    x = synthesize(g, support, coeffs)
+    x = synthesize(g, support, coeffs, l_pinv=_spectral_pinv(spec))
     out = _out_dir(args)
     _write_indexed_csv(out / "signal.csv", x)
     dense_coeffs = np.zeros(g.n)

@@ -49,6 +49,25 @@ def _zero_cutoff(dim: int, largest: float) -> float:
     return dim * _EPS * largest
 
 
+def _require_nullity(lam: np.ndarray, cutoff: float, components: int) -> None:
+    """Raise unless a Laplacian spectrum has one zero eigenvalue per component.
+
+    A graph can be connected and still numerically disconnected: an edge
+    weight too small against the others leaves an extra eigenvalue at or
+    below the zero cutoff, and L^+ would silently drop that edge.
+    """
+    mag = np.abs(lam)
+    zeros = int(np.count_nonzero(mag <= cutoff))
+    if zeros != components:
+        above = mag[mag > cutoff]
+        smallest = f"{above.min():.3e}" if above.size else "none"
+        raise ValueError(
+            f"graph is numerically disconnected: {zeros} Laplacian eigenvalues at "
+            f"or below the zero cutoff {cutoff:.3e} for {components} connected "
+            f"component(s); smallest eigenvalue above the cutoff: {smallest}"
+        )
+
+
 @dataclass(frozen=True)
 class EigenDecomposition:
     """Ascending eigenvalues with matching orthonormal eigenvector columns."""

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circulant import cycle_laplacian, perturbation_factor
+from .circulant import cycle_laplacian, laplacian_pinv, perturbation_factor
 from .circulant import pinv_factorization, pinv_residual_allowance
 from .graphs import (
     CirculantSpec,
@@ -22,12 +22,11 @@ from .graphs import (
     compile_circulant,
     complete_graph,
     connected_components,
-    hop_distances,
     incidence,
     laplacian,
 )
 from .linalg import ZERO_FLOOR, _require_finite, pseudoinverse
-from .analysis import nullspace_basis
+from .analysis import _connected_pinv, nullspace_basis
 
 __all__ = [
     "synthesize",
@@ -55,6 +54,7 @@ def synthesize(
 
     The output always lies in the range of L^+, i.e. it is orthogonal to the
     constant vector.  Coefficients pair with the support in the order given.
+    Without ``l_pinv``, a graph the eigensolve sees as disconnected raises.
     """
     if connected_components(g) != 1:
         raise ValueError("synthesis assumes a connected graph")
@@ -70,7 +70,7 @@ def synthesize(
             f"coefficient count {vec.shape} does not match support size {len(sup)}"
         )
     if l_pinv is None:
-        l_pinv = pseudoinverse(laplacian(g))
+        l_pinv = _connected_pinv(g)
     if not sup:
         return np.zeros(g.n)
     return l_pinv[:, sup] @ vec
@@ -117,12 +117,24 @@ def two_hop_knot_check(g: Graph, j: int) -> tuple[float, bool | None]:
     lap2 = lap @ lap
     l_pinv = pseudoinverse(lap)
     residual = float(np.abs(lap2 @ l_pinv - lap).max())
-    if not (hop_distances(g) > 2).any():
+    if _diameter_at_most_two(lap):
         return residual, None
     col = lap2 @ l_pinv[:, j]
     detected = _support(col)
     expected = frozenset(int(i) for i in np.flatnonzero(lap[:, j] != 0.0))
     return residual, detected == expected
+
+
+def _diameter_at_most_two(lap: np.ndarray) -> bool:
+    """Whether every vertex pair of a connected graph is at most two hops apart.
+
+    Pattern test on I + A: its square is positive everywhere iff the
+    diameter is at most 2.  The products are 0/1 counts no larger than n,
+    so the float test is exact.
+    """
+    pattern = (lap != 0.0).astype(float)
+    np.fill_diagonal(pattern, 1.0)
+    return bool((pattern @ pattern > 0.0).all())
 
 
 def _support(vec: np.ndarray) -> frozenset[int]:
@@ -264,7 +276,7 @@ def model_degree_report(spec: CirculantSpec, cosupport: Cosupport) -> DegreeRepo
     """
     g = compile_circulant(spec)
     p_mat = perturbation_factor(spec).to_matrix()
-    l_pinv = pseudoinverse(laplacian(g))
+    l_pinv = laplacian_pinv(spec)
     basis = nullspace_basis(g, cosupport, l_pinv=l_pinv)
     comp = set(cosupport.complement)
 
@@ -360,9 +372,8 @@ def absorb_discontinuity(
             raise ValueError(f"vertex {name}={v} out of range for n={spec.n}")
     factor_col = np.roll(perturbation_factor(spec).first_row(), j)
     p = np.roll(factor_col, k) - np.roll(factor_col, l)
-    g = compile_circulant(spec)
-    lap = laplacian(g)
-    x = pseudoinverse(lap) @ p
+    lap = laplacian(compile_circulant(spec))
+    x = laplacian_pinv(spec) @ p
     cyc_out = cycle_laplacian(spec.n) @ x
     report = AbsorptionReport(
         cycle_support=tuple(sorted(_support(cyc_out))),

@@ -34,6 +34,7 @@ AXIOM_RTOL = 1e-9  # Penrose residual relative to max(|L|_max, 1)
 PROJECTION_TOL = 1e-9  # |L L^+ - (I - 11^T/n)|_max
 PRODUCT_TOL = 1e-12  # |P L_C - L|_max for real weights; integer weights must hit 0
 INVERSE_RTOL = 1e-10  # dense vs transform inverse, relative to max(|P^-1|_max, 1)
+SPECTRAL_PINV_RTOL = 1e-10  # DFT vs eigensolve L^+, relative to max(|L^+|_max, 1)
 CYCLE_PINV_TOL = 1e-9  # closed-form vs eigensolve cycle pseudoinverse
 COMPLETE_GRAPH_TOL = 1e-10  # complete-graph closed-form residuals
 MPP_MAX_N, NULLSPACE_MAX_N, CLOSURE_MAX_N, COMPLETE_GRAPH_MAX_N = 64, 24, 20, 32
@@ -110,18 +111,21 @@ def nullspace_vs_oracle_suite(seed: int = 42, trials: int = 200) -> SuiteResult:
 
 
 def factorization_suite(seed: int = 42, trials: int = 100) -> SuiteResult:
-    """Cycle factorisation of circulant Laplacians and of their pseudoinverses."""
+    """Cycle factorisation of circulant Laplacians and of their pseudoinverses,
+    and the DFT pseudoinverse against the dense eigensolve (the oracle)."""
     rng = np.random.default_rng(seed)
     details: dict = {
         "trials": trials,
         "product_tol_float": PRODUCT_TOL,
         "pinv_residual_rtol": circulant.PINV_RESIDUAL_RTOL,
         "inverse_agreement_rtol": INVERSE_RTOL,
+        "spectral_pinv_rtol": SPECTRAL_PINV_RTOL,
     }
     passed = True
     worst_product = 0.0
     worst_pinv = 0.0
     worst_agreement = 0.0
+    worst_spectral = 0.0
     kinds = ("integer", "unit", "uniform")
     for t in range(trials):
         kind = kinds[t % len(kinds)]
@@ -147,6 +151,12 @@ def factorization_suite(seed: int = 42, trials: int = 100) -> SuiteResult:
         if residual > allow:
             passed = False
             _note_failure(details, f"pinv split residual {residual:.3e} (n={n})")
+        spectral_gap = float(np.abs(circulant.laplacian_pinv(spec) - l_pinv).max())
+        spectral_rel = spectral_gap / max(1.0, float(np.abs(l_pinv).max()))
+        worst_spectral = max(worst_spectral, spectral_rel)
+        if spectral_rel > SPECTRAL_PINV_RTOL:
+            passed = False
+            _note_failure(details, f"DFT vs eigensolve L^+ gap {spectral_rel:.3e} (n={n})")
         via_transform = circulant.transform_inverse(factor)
         agree = float(np.abs(p_inv - via_transform).max())
         allow_inv = INVERSE_RTOL * max(1.0, float(np.abs(p_inv).max()))
@@ -157,6 +167,7 @@ def factorization_suite(seed: int = 42, trials: int = 100) -> SuiteResult:
     details["max_product_gap"] = worst_product
     details["max_pinv_residual_vs_allowance"] = worst_pinv
     details["max_inverse_gap_vs_allowance"] = worst_agreement
+    details["max_spectral_pinv_gap_rel"] = worst_spectral
     return SuiteResult("cycle_factorization", passed, details)
 
 

@@ -91,6 +91,13 @@ class TestNullspaceBasis:
         signal = l_pinv @ (np.eye(64)[:, 21] - np.eye(64)[:, 41])
         np.testing.assert_allclose(basis.smooth_part[:, 0], signal, atol=1e-12)
 
+    def test_numerically_disconnected_graph_is_refused(self):
+        # connected by BFS, but the 1e-300 edge sits below the eigensolve's
+        # zero cutoff: the basis would silently differ from the SVD oracle
+        g = Graph(5, ((0, 1, 1.0), (1, 2, 1e-300), (2, 3, 1.0), (3, 4, 1.0)))
+        with pytest.raises(ValueError, match="numerically disconnected.*cutoff"):
+            nullspace_basis(g, Cosupport.from_support(5, (0, 4)))
+
     def test_matches_oracle_on_random_pairs(self):
         rng = np.random.default_rng(21)
         for _ in range(40):

@@ -1,8 +1,12 @@
 """Representer polynomials, the closed-form cycle pseudoinverse and the
 banded factorisation of circulant Laplacians."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lapsig.circulant import (
     DecayProfile,
@@ -12,6 +16,7 @@ from lapsig.circulant import (
     cycle_pinv_entry,
     cycle_representer,
     decay_profile,
+    laplacian_pinv,
     laplacian_representer,
     perturbation_factor,
     pinv_factorization,
@@ -19,8 +24,24 @@ from lapsig.circulant import (
     transform_inverse,
 )
 from lapsig.graphs import CirculantSpec, compile_circulant, laplacian, random_circulant_spec
-from lapsig.linalg import eig_symmetric, pseudoinverse
+from lapsig.linalg import eig_symmetric, mpp_axiom_residuals, pseudoinverse
 from lapsig.synthesis import cyclic_difference
+from lapsig.verification import AXIOM_RTOL, SPECTRAL_PINV_RTOL
+
+_WEIGHTS = {
+    "unit": st.just(1.0),
+    "integer": st.integers(1, 5).map(float),
+    "uniform": st.floats(0.5, 2.0),
+}
+
+
+@st.composite
+def circulant_specs(draw, n_max=96):
+    """Any generating set: the wrap hop n/2 and disconnected sets included."""
+    n = draw(st.integers(3, n_max))
+    hops = sorted(draw(st.sets(st.integers(1, n // 2), min_size=1, max_size=4)))
+    weight = _WEIGHTS[draw(st.sampled_from(sorted(_WEIGHTS)))]
+    return CirculantSpec(n, tuple((h, draw(weight)) for h in hops))
 
 
 class TestRepresenterPolynomial:
@@ -254,6 +275,41 @@ class TestPinvFactorization:
     def test_transform_inverse_rejects_singular(self):
         with pytest.raises(ValueError, match="not invertible"):
             transform_inverse(cycle_representer(8))
+
+
+class TestLaplacianPinv:
+    def test_four_cycle_closed_form(self):
+        np.testing.assert_allclose(
+            laplacian_pinv(CirculantSpec(4, ((1, 1.0),)))[0],
+            [0.3125, -0.0625, -0.1875, -0.0625],
+            atol=1e-15,
+        )
+
+    def test_matches_closed_form_cycle_pinv(self):
+        for n in (3, 8, 255):
+            gap = np.abs(laplacian_pinv(CirculantSpec(n, ((1, 1.0),))) - cycle_pinv(n)).max()
+            assert gap < 1e-12 * max(1.0, np.abs(cycle_pinv(n)).max())
+
+    def test_numerically_disconnected_spec_is_refused(self):
+        # gcd(6, 1, 2) = 1 component, but hop 1 is too light to register:
+        # the spectrum shows the two components of hop 2 alone
+        with pytest.raises(ValueError, match="numerically disconnected.*cutoff"):
+            laplacian_pinv(CirculantSpec(6, ((1, 1e-300), (2, 1.0))))
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(circulant_specs())
+    @example(CirculantSpec(8, ((2, 1.0),)))
+    @example(CirculantSpec(10, ((1, 1.0), (5, 3.0))))
+    @example(CirculantSpec(9, ((3, 0.5),)))
+    def test_matches_dense_oracle(self, spec):
+        lap = laplacian(compile_circulant(spec))
+        dense = pseudoinverse(lap)
+        assert eig_symmetric(lap).rank == spec.n - math.gcd(spec.n, *spec.hops)
+        fast = laplacian_pinv(spec)
+        np.testing.assert_array_equal(fast, fast.T)
+        assert np.abs(fast - dense).max() <= SPECTRAL_PINV_RTOL * max(1.0, np.abs(dense).max())
+        axioms = mpp_axiom_residuals(lap, fast)
+        assert max(axioms.values()) <= AXIOM_RTOL * max(1.0, np.abs(lap).max())
 
 
 class TestDecayProfile:

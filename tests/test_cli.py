@@ -121,6 +121,7 @@ class TestVerify:
                 "product_tol_float": 1e-12,
                 "pinv_residual_rtol": 1e-8,
                 "inverse_agreement_rtol": 1e-10,
+                "spectral_pinv_rtol": 1e-10,
             },
             "cycle_pinv_closed_form": {"tol": 1e-9},
             "model_degrees": {},
@@ -134,6 +135,7 @@ class TestVerify:
             reported = {k: v for k, v in suites[name].items() if "tol" in k}
             assert reported == expected, name
         assert "max_axiom_residual_rel" in suites["mpp_axioms"]
+        assert suites["cycle_factorization"]["max_spectral_pinv_gap_rel"] <= 1e-10
         assert "min_gap" in suites["uniqueness_randomized"]
 
     @pytest.mark.parametrize("trials", ["-1", "0"])
@@ -294,3 +296,44 @@ class TestSynth:
             ]
         )
         assert code == 2
+
+    def test_numerically_disconnected_circulant_is_usage_error(self, tmp_path, capsys):
+        spec = '{"n": 6, "generators": [[1, 1e-300], [2, 1.0]]}'
+        code = main(
+            ["synth", "--circulant", spec, "--support", "0,3", "--out", str(tmp_path / "s")]
+        )
+        assert code == 2
+        assert "numerically disconnected" in capsys.readouterr().err
+
+
+class TestInputPath:
+    """A circulant input takes the DFT path; operators and --graph stay dense."""
+
+    @pytest.fixture
+    def eigh_calls(self, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counted(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        return calls
+
+    def test_circulant_commands_skip_the_eigensolve(self, tmp_path, eigh_calls):
+        support = ["--support", "21,41"]
+        assert main(["figures", "--out", str(tmp_path / "f")]) == 0
+        assert main(["analysis-basis", "--circulant", BANDED_64, *support,
+                     "--out", str(tmp_path / "b")]) == 0
+        assert main(["synth", "--circulant", BANDED_64, *support,
+                     "--out", str(tmp_path / "s")]) == 0
+        assert eigh_calls == []
+
+    def test_operators_and_graph_inputs_stay_dense(self, tmp_path, eigh_calls):
+        graph = tmp_path / "c4.txt"
+        graph.write_text("0 1\n1 2\n2 3\n0 3\n")
+        assert main(["operators", "--circulant", FOUR_CYCLE, "--out", str(tmp_path / "o")]) == 0
+        assert main(["synth", "--graph", str(graph), "--support", "0,2",
+                     "--out", str(tmp_path / "s")]) == 0
+        assert eigh_calls == [(4, 4), (4, 4)]

@@ -3,6 +3,8 @@ and the circulant degree comparison."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lapsig.analysis import cosparsity, nullspace_basis, sampling_matrix, zero_sum_basis
 from lapsig.circulant import cycle_pinv, perturbation_factor
@@ -13,6 +15,7 @@ from lapsig.graphs import (
     compile_circulant,
     complete_graph,
     cycle_graph,
+    hop_distances,
     incidence,
     laplacian,
     random_connected_graph,
@@ -77,6 +80,11 @@ class TestSynthesize:
             synthesize(g, (1, 1), (1.0, 1.0))
         with pytest.raises(ValueError, match="count"):
             synthesize(g, (1, 2), (1.0,))
+
+    def test_numerically_disconnected_graph_is_refused(self):
+        g = Graph(5, ((0, 1, 1.0), (1, 2, 1e-300), (2, 3, 1.0), (3, 4, 1.0)))
+        with pytest.raises(ValueError, match="numerically disconnected"):
+            synthesize(g, (0, 4), (1.0, -1.0))
 
     def test_rejects_non_finite_coefficients(self):
         with pytest.raises(ValueError, match="non-finite"):
@@ -147,6 +155,24 @@ class TestTwoHopKnots:
         residual, match = two_hop_knot_check(g, 0)
         assert residual < 1e-9
         assert match is True
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(1, 40),
+        density=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+        circulant=st.booleans(),
+    )
+    def test_applicability_matches_bfs_diameter(self, n, density, seed, circulant):
+        # the all-pairs BFS stays the oracle for the pattern diameter test
+        rng = np.random.default_rng(seed)
+        if circulant and n >= 3:
+            hops = [1] + [h for h in range(2, n // 2 + 1) if rng.random() < density]
+            g = compile_circulant(CirculantSpec(n, tuple((h, 1.0) for h in hops)))
+        else:
+            g = random_connected_graph(n, rng, extra_edge_prob=density)
+        _, match = two_hop_knot_check(g, int(rng.integers(n)))
+        assert (match is None) == (not (hop_distances(g) > 2).any())
 
 
 class TestCyclicDifference:
@@ -226,6 +252,17 @@ class TestModelDegreeReport:
             CirculantSpec(32, ((1, 1.0), (2, 1.0))), Cosupport.from_support(32, (4, 20))
         )
         assert report.passed
+
+
+class TestCirculantPath:
+    def test_degree_report_and_absorption_skip_the_eigensolve(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense eigensolve on a circulant input")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        spec = CirculantSpec(32, ((1, 1.0), (2, 1.0)))
+        assert model_degree_report(spec, Cosupport.from_support(32, (4, 20))).passed
+        assert absorb_discontinuity(spec, 0, 2, 9)[2].passed
 
 
 class TestCompleteGraphIdentities:
