@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Cosupport, Graph, connected_components, laplacian
-from .linalg import ZERO_FLOOR, _require_finite, _require_nullity, eig_symmetric
-from .linalg import pseudoinverse, rank
+from .circulant import laplacian_pinv
+from .graphs import CirculantSpec, Cosupport, Graph, connected_components, laplacian
+from .linalg import ZERO_FLOOR, _require_finite, _require_tolerance, rank
 
 __all__ = [
     "sampling_matrix",
@@ -88,17 +88,7 @@ class NullspaceBasis:
         return 1 + self.smooth_part.shape[1]
 
 
-def _connected_pinv(g: Graph) -> np.ndarray:
-    """Dense L^+ of a connected graph, refused when the graph is numerically
-    disconnected (more than one eigenvalue at or below the zero cutoff)."""
-    dec = eig_symmetric(laplacian(g))
-    _require_nullity(dec.eigenvalues, dec.cutoff, 1)
-    return dec.pinv()
-
-
-def nullspace_basis(
-    g: Graph, cosupport: Cosupport, l_pinv: np.ndarray | None = None
-) -> NullspaceBasis:
+def nullspace_basis(g: Graph | CirculantSpec, cosupport: Cosupport) -> NullspaceBasis:
     """Basis of the nullspace of the cosupport-sampled Laplacian rows.
 
     For a connected graph and cosupport with non-empty complement of size m,
@@ -106,25 +96,27 @@ def nullspace_basis(
     vector together with  L^+ Psi_complement^T W,  W the zero-sum basis.
 
     Raises for disconnected graphs (the per-component block model is out of
-    scope), for graphs the eigensolve sees as disconnected when ``l_pinv``
-    is not given, and for a full cosupport (annihilating every row leaves
-    span{1}; there is nothing left to sample).
+    scope), for graphs ``laplacian_pinv`` sees as numerically disconnected,
+    and for a full cosupport (annihilating every row leaves span{1}; there
+    is nothing left to sample).
     """
     if cosupport.n != g.n:
         raise ValueError("cosupport and graph sizes differ")
     if connected_components(g) != 1:
         raise ValueError("nullspace basis requires a connected graph")
-    comp = cosupport.complement
-    if not comp:
+    if not cosupport.complement:
         raise ValueError(
             "cosupport covers every vertex: the nullspace is span{1} and no "
             "sampled basis is defined"
         )
-    if l_pinv is None:
-        l_pinv = _connected_pinv(g)
-    w = zero_sum_basis(len(comp))
-    smooth = l_pinv @ sampling_matrix(comp, g.n).T @ w
-    return NullspaceBasis(cosupport, np.ones(g.n), smooth)
+    return _basis_from_pinv(laplacian_pinv(g), cosupport)
+
+
+def _basis_from_pinv(l_pinv: np.ndarray, cosupport: Cosupport) -> NullspaceBasis:
+    """The closed-form basis from the L^+ of a connected graph."""
+    comp = cosupport.complement
+    smooth = l_pinv @ sampling_matrix(comp, cosupport.n).T @ zero_sum_basis(len(comp))
+    return NullspaceBasis(cosupport, np.ones(cosupport.n), smooth)
 
 
 def pairwise_difference_basis(cosupport: Cosupport) -> np.ndarray:
@@ -141,13 +133,14 @@ def pairwise_difference_basis(cosupport: Cosupport) -> np.ndarray:
     return mat
 
 
-def cosparsity(g: Graph, x, tol: float = 1e-9) -> tuple[int, Cosupport]:
+def cosparsity(g: Graph | CirculantSpec, x, tol: float = 1e-9) -> tuple[int, Cosupport]:
     """Count of vertices where L x vanishes, with the vanishing set.
 
-    The zero test is relative: |(Lx)_i| <= tol * ||Lx||_inf.  Once
-    ||Lx||_inf itself drops to the 1e-12 floor every vertex counts as
-    annihilated.
+    The zero test is relative: |(Lx)_i| <= tol * ||Lx||_inf, with ``tol``
+    finite and >= 0.  Once ||Lx||_inf itself drops to the 1e-12 floor every
+    vertex counts as annihilated.
     """
+    _require_tolerance(tol)
     vec = _require_finite(x, "signal")
     if vec.shape != (g.n,):
         raise ValueError(f"signal shape {vec.shape} does not match n={g.n}")
@@ -223,7 +216,7 @@ def randomized_uniqueness_check(
     if not 0 < l < g.n:
         raise ValueError("cosparsity level must lie in (0, n)")
     rng = np.random.default_rng(seed)
-    l_pinv = pseudoinverse(laplacian(g))
+    l_pinv = laplacian_pinv(g)
     min_gap = np.inf
     for _ in range(trials):
         mat = rng.standard_normal((m, g.n))
@@ -231,7 +224,7 @@ def randomized_uniqueness_check(
             pair = []
             for _ in range(2):
                 members = tuple(sorted(rng.choice(g.n, size=l, replace=False)))
-                basis = nullspace_basis(g, Cosupport(g.n, members), l_pinv=l_pinv)
+                basis = _basis_from_pinv(l_pinv, Cosupport(g.n, members))
                 vec = basis.matrix() @ rng.standard_normal(basis.dim)
                 pair.append(vec / max(float(np.linalg.norm(vec)), ZERO_FLOOR))
             if float(np.linalg.norm(pair[0] - pair[1])) >= MIN_SEPARATION:

@@ -12,13 +12,14 @@ the row and is therefore counted once in the evaluation.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import CirculantSpec, compile_circulant, laplacian
-from .linalg import ZERO_FLOOR, _require_nullity, _zero_cutoff, pseudoinverse
+from .graphs import CirculantSpec, Graph, _circulant, _laplacian_row, compile_circulant
+from .graphs import connected_components, laplacian
+from .linalg import ZERO_FLOOR, _laplacian_pinv, _require_nullity, _zero_cutoff
+from .linalg import pseudoinverse
 
 __all__ = [
     "RepresenterPolynomial",
@@ -41,12 +42,6 @@ __all__ = [
 
 ROW_SYM_RTOL = 1e-10  # |row - mirrored row| allowed, relative to max(|row|_max, 1)
 PINV_RESIDUAL_RTOL = 1e-8  # pinv_factorization residual, relative to max(|L^+|_max, 1)
-
-
-def _circulant(row: np.ndarray) -> np.ndarray:
-    """Circulant matrix whose row i is ``row`` shifted cyclically by i."""
-    idx = np.arange(row.size)
-    return row[(idx[None, :] - idx[:, None]) % row.size]
 
 
 def _inverse_row(recip: np.ndarray) -> np.ndarray:
@@ -162,33 +157,26 @@ def laplacian_representer(spec: CirculantSpec) -> RepresenterPolynomial:
     return RepresenterPolynomial(spec.n, tuple(co))
 
 
-def _laplacian_row(spec: CirculantSpec) -> np.ndarray:
-    """First Laplacian row of a circulant graph; the wrap hop n/2 counts once."""
-    row = np.zeros(spec.n)
-    for s, d in spec.generators:
-        row[s] -= d
-        if 2 * s != spec.n:
-            row[spec.n - s] -= d
-    row[0] = -row.sum()  # the common degree: Laplacian rows sum to zero
-    return row
+def laplacian_pinv(g: Graph | CirculantSpec) -> np.ndarray:
+    """Moore-Penrose pseudoinverse of a graph Laplacian, refused when the
+    graph is numerically disconnected.
 
-
-def laplacian_pinv(spec: CirculantSpec) -> np.ndarray:
-    """Moore-Penrose pseudoinverse of a circulant-graph Laplacian, without an
-    eigensolve.
-
-    The DFT diagonalises every circulant, so the Laplacian's eigenvalues are
-    the DFT of its first row.  Eigenvalues at or below the zero cutoff the
-    dense eigensolve uses count as zero; the rest are inverted, and L^+ is
-    the circulant whose first row is the inverse DFT of those reciprocals.
-    Any spec is accepted, the wrap hop n/2 and disconnected generating sets
-    included.  The graph has gcd(n, s_1, ..., s_k) components; a zero count
-    that differs (a weight too small against the others) raises ValueError.
+    The one place that decides how L^+ is formed.  A Graph takes the dense
+    eigensolve.  A circulant spec needs none: the DFT diagonalises every
+    circulant, so the Laplacian's eigenvalues are the DFT of its first row;
+    those at or below the zero cutoff the dense eigensolve uses count as
+    zero, the rest are inverted, and L^+ is the circulant whose first row is
+    the inverse DFT of those reciprocals.  Any graph is accepted, the wrap
+    hop n/2 and disconnected ones included; a zero count that differs from
+    the component count (a weight too small against the others) raises
+    ValueError.
     """
-    lam = np.fft.fft(_laplacian_row(spec)).real
-    cutoff = _zero_cutoff(spec.n, float(np.abs(lam).max()))
-    _require_nullity(lam, cutoff, math.gcd(spec.n, *spec.hops))
-    recip = np.zeros(spec.n)
+    if isinstance(g, Graph):
+        return _laplacian_pinv(laplacian(g), connected_components(g))
+    lam = np.fft.fft(_laplacian_row(g)).real
+    cutoff = _zero_cutoff(g.n, float(np.abs(lam).max()))
+    _require_nullity(lam, cutoff, connected_components(g))
+    recip = np.zeros(g.n)
     np.divide(1.0, lam, out=recip, where=np.abs(lam) > cutoff)
     return _circulant(_inverse_row(recip))
 

@@ -70,21 +70,15 @@ def _load_spec_argument(value: str) -> CirculantSpec:
     return circulant_spec_from_json(text)
 
 
-def _load_graph(args) -> tuple[Graph, CirculantSpec | None]:
-    """The input graph, with its generating set when given by --circulant."""
+def _load_graph(args) -> Graph | CirculantSpec:
+    """The input graph: a Graph from --graph, the generating set from --circulant."""
     if getattr(args, "graph", None):
         path = Path(args.graph)
         text = path.read_text()
         if path.suffix == ".json" or text.lstrip().startswith("{"):
-            return graph_from_json(text), None
-        return parse_edge_list(text), None
-    spec = _load_spec_argument(args.circulant)
-    return compile_circulant(spec), spec
-
-
-def _spectral_pinv(spec: CirculantSpec | None) -> np.ndarray | None:
-    """L^+ by the DFT for a circulant input; None leaves the dense path."""
-    return None if spec is None else laplacian_pinv(spec)
+            return graph_from_json(text)
+        return parse_edge_list(text)
+    return _load_spec_argument(args.circulant)
 
 
 def _out_dir(args) -> Path:
@@ -110,7 +104,9 @@ def _write_indexed_csv(path: Path, *columns) -> None:
 
 
 def cmd_operators(args) -> int:
-    g, _ = _load_graph(args)
+    g = _load_graph(args)
+    if isinstance(g, CirculantSpec):
+        g = compile_circulant(g)  # S needs the edge list
     out = _out_dir(args)
     lap = laplacian(g)
     inc = incidence(g)
@@ -148,20 +144,23 @@ def cmd_figures(args) -> int:
         if t < 0 or t >= args.n:
             raise ValueError(f"atom index {t} out of range for n={args.n}")
     hops = _parse_indices(args.hops)
-    out = _out_dir(args)
     panels = {
         "cycle": CirculantSpec(args.n, ((1, 1.0),)),
         "banded": CirculantSpec(args.n, tuple((h, 1.0) for h in hops)),
     }
+    for tag, spec in panels.items():
+        comps = connected_components(spec)
+        if comps != 1:
+            raise ValueError(
+                f"the {tag} panel (hops {list(spec.hops)}, n={args.n}) has {comps} "
+                "connected components; atoms need a connected graph"
+            )
+    out = _out_dir(args)
     differences = {}
     for tag, spec in panels.items():
-        g = compile_circulant(spec)
         l_pinv = laplacian_pinv(spec)
         atom_a, atom_b = l_pinv[:, i], l_pinv[:, j]
-        if i == j:
-            diff = np.zeros(args.n)
-        else:
-            diff = synthesize(g, (i, j), (1.0, -1.0), l_pinv=l_pinv)
+        diff = atom_a - atom_b
         differences[tag] = diff
         _write_indexed_csv(out / f"atoms_{tag}.csv", atom_a, atom_b, diff)
         hop_label = ",".join(str(h) for h in spec.hops)
@@ -217,12 +216,9 @@ def _cosupport_from_args(args, n: int) -> Cosupport:
 
 
 def cmd_analysis_basis(args) -> int:
-    g, spec = _load_graph(args)
+    g = _load_graph(args)
     cos = _cosupport_from_args(args, g.n)
-    basis = nullspace_basis(g, cos, l_pinv=_spectral_pinv(spec))
-    mat = basis.matrix()
-    out = _out_dir(args)
-    save_matrix_csv(out / "basis.csv", mat)
+    mat = nullspace_basis(g, cos).matrix()
     columns = []
     for idx in range(mat.shape[1]):
         count, recovered = cosparsity(g, mat[:, idx], tol=args.tol)
@@ -240,6 +236,8 @@ def cmd_analysis_basis(args) -> int:
         "rank": rank(mat),
         "columns": columns,
     }
+    out = _out_dir(args)
+    save_matrix_csv(out / "basis.csv", mat)
     _write_json(out / "cosupport.json", list(cos.members))
     _write_json(out / "report.json", report)
     print(f"wrote a {mat.shape[1]}-column nullspace basis to {out}")
@@ -247,15 +245,13 @@ def cmd_analysis_basis(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    g, spec = _load_graph(args)
+    g = _load_graph(args)
     support = _parse_indices(args.support)
     if args.coeffs is not None:
         coeffs = _parse_floats(args.coeffs)
     else:
         coeffs = [1.0 if t % 2 == 0 else -1.0 for t in range(len(support))]
-    x = synthesize(g, support, coeffs, l_pinv=_spectral_pinv(spec))
-    out = _out_dir(args)
-    _write_indexed_csv(out / "signal.csv", x)
+    x = synthesize(g, support, coeffs)
     dense_coeffs = np.zeros(g.n)
     dense_coeffs[support] = coeffs
     structured = structured_sparsity_check(dense_coeffs, tol=args.tol)
@@ -274,6 +270,8 @@ def cmd_synth(args) -> int:
             "sparse under the Laplacian"
         )
         print(f"warning: {report['warning']}")
+    out = _out_dir(args)
+    _write_indexed_csv(out / "signal.csv", x)
     _write_json(out / "report.json", report)
     print(f"wrote synthesized signal (cosparsity {count}) to {out}")
     return EXIT_OK

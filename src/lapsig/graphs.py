@@ -176,13 +176,40 @@ def adjacency(g: Graph) -> np.ndarray:
     return a
 
 
-def laplacian(g: Graph) -> np.ndarray:
+def _circulant(row: np.ndarray) -> np.ndarray:
+    """Circulant matrix whose row i is ``row`` shifted cyclically by i.
+
+    Entry (i, j) is ``row[(j - i) % n]``: a strided view of the doubled row,
+    starting at its second copy and stepping back one slot per matrix row,
+    is copied out row by row, with no n x n index array.
+    """
+    n = row.size
+    ext = np.concatenate([row, row])
+    step = ext.itemsize
+    return np.ndarray((n, n), ext.dtype, ext, n * step, (-step, step)).copy()
+
+
+def _laplacian_row(spec: CirculantSpec) -> np.ndarray:
+    """First Laplacian row of a circulant graph; the wrap hop n/2 counts once."""
+    row = np.zeros(spec.n)
+    for s, d in spec.generators:
+        row[s] -= d
+        if 2 * s != spec.n:
+            row[spec.n - s] -= d
+    row[0] = -row.sum()  # the common degree: Laplacian rows sum to zero
+    return row
+
+
+def laplacian(g: Graph | CirculantSpec) -> np.ndarray:
     """Combinatorial Laplacian D - A.
 
     The diagonal holds the summed incident weights, i.e. the negated
     off-diagonal row sums, so rows sum to zero (exactly so for integer
-    weights).
+    weights).  A circulant spec is densified from its first row, with no
+    edge list.
     """
+    if isinstance(g, CirculantSpec):
+        return _circulant(_laplacian_row(g))
     a = adjacency(g)
     lap = -a
     np.fill_diagonal(lap, a.sum(axis=1))
@@ -213,8 +240,15 @@ def _neighbor_lists(g: Graph) -> list[list[int]]:
     return nbrs
 
 
-def connected_components(g: Graph) -> int:
-    """Number of connected components, by breadth-first traversal."""
+def connected_components(g: Graph | CirculantSpec) -> int:
+    """Number of connected components.
+
+    A circulant graph has gcd(n, s_1, ..., s_k) of them (its hops generate
+    the subgroup of Z_n its vertex 0 reaches); a Graph is traversed
+    breadth-first.
+    """
+    if isinstance(g, CirculantSpec):
+        return math.gcd(g.n, *g.hops)
     nbrs = _neighbor_lists(g)
     seen = [False] * g.n
     count = 0

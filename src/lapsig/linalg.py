@@ -12,6 +12,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +44,12 @@ def _require_finite(a, name: str = "matrix") -> np.ndarray:
     if arr.size and not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite entries")
     return arr
+
+
+def _require_tolerance(tol: float) -> None:
+    """A relative zero threshold must be finite and non-negative."""
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tolerance must be finite and >= 0, got {tol}")
 
 
 def _zero_cutoff(dim: int, largest: float) -> float:
@@ -114,6 +121,14 @@ def eig_symmetric(a) -> EigenDecomposition:
         )
     w, u = np.linalg.eigh(0.5 * (arr + arr.T))
     return EigenDecomposition(w, u)
+
+
+def _laplacian_pinv(lap, components: int) -> np.ndarray:
+    """Dense L^+ of a Laplacian whose graph has ``components`` connected
+    components, refused when the eigensolve sees more zero eigenvalues."""
+    dec = eig_symmetric(lap)
+    _require_nullity(dec.eigenvalues, dec.cutoff, components)
+    return dec.pinv()
 
 
 def pseudoinverse(a) -> np.ndarray:

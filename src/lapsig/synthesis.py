@@ -19,14 +19,13 @@ from .graphs import (
     CirculantSpec,
     Cosupport,
     Graph,
-    compile_circulant,
     complete_graph,
     connected_components,
     incidence,
     laplacian,
 )
-from .linalg import ZERO_FLOOR, _require_finite, pseudoinverse
-from .analysis import _connected_pinv, nullspace_basis
+from .linalg import ZERO_FLOOR, _laplacian_pinv, _require_finite, _require_tolerance
+from .analysis import _basis_from_pinv
 
 __all__ = [
     "synthesize",
@@ -46,15 +45,13 @@ __all__ = [
 KNOT_TOL = 1e-7  # relative size at which an entry or a difference counts as nonzero
 
 
-def synthesize(
-    g: Graph, support, coeffs, l_pinv: np.ndarray | None = None
-) -> np.ndarray:
+def synthesize(g: Graph | CirculantSpec, support, coeffs) -> np.ndarray:
     """Combine pseudoinverse atoms: x = L^+ restricted to the support columns
     times the coefficients.
 
     The output always lies in the range of L^+, i.e. it is orthogonal to the
     constant vector.  Coefficients pair with the support in the order given.
-    Without ``l_pinv``, a graph the eigensolve sees as disconnected raises.
+    A graph ``laplacian_pinv`` sees as numerically disconnected raises.
     """
     if connected_components(g) != 1:
         raise ValueError("synthesis assumes a connected graph")
@@ -69,8 +66,7 @@ def synthesize(
         raise ValueError(
             f"coefficient count {vec.shape} does not match support size {len(sup)}"
         )
-    if l_pinv is None:
-        l_pinv = _connected_pinv(g)
+    l_pinv = laplacian_pinv(g)
     if not sup:
         return np.zeros(g.n)
     return l_pinv[:, sup] @ vec
@@ -80,8 +76,9 @@ def structured_sparsity_check(c, tol: float = 1e-9) -> bool:
     """Whether a coefficient vector is admissible as a Laplacian image.
 
     On a connected graph a vector can equal L x only if its entries sum to
-    zero; the test is |sum c| <= tol * ||c||_1.
+    zero; the test is |sum c| <= tol * ||c||_1, with ``tol`` finite and >= 0.
     """
+    _require_tolerance(tol)
     vec = np.asarray(c, dtype=float)
     return abs(float(vec.sum())) <= tol * float(np.abs(vec).sum())
 
@@ -97,7 +94,7 @@ def edge_knot_residual(g: Graph) -> float:
         raise ValueError("identity stated for connected graphs")
     lap = laplacian(g)
     st = incidence(g).T
-    return float(np.abs(lap @ (pseudoinverse(lap) @ st) - st).max())
+    return float(np.abs(lap @ (_laplacian_pinv(lap, 1) @ st) - st).max())
 
 
 def two_hop_knot_check(g: Graph, j: int) -> tuple[float, bool | None]:
@@ -115,7 +112,7 @@ def two_hop_knot_check(g: Graph, j: int) -> tuple[float, bool | None]:
         raise ValueError(f"vertex {j} out of range for n={g.n}")
     lap = laplacian(g)
     lap2 = lap @ lap
-    l_pinv = pseudoinverse(lap)
+    l_pinv = _laplacian_pinv(lap, 1)
     residual = float(np.abs(lap2 @ l_pinv - lap).max())
     if _diameter_at_most_two(lap):
         return residual, None
@@ -274,10 +271,9 @@ def model_degree_report(spec: CirculantSpec, cosupport: Cosupport) -> DegreeRepo
     residual stays within tolerance, so the perturbation is exactly the
     inverse factor.
     """
-    g = compile_circulant(spec)
     p_mat = perturbation_factor(spec).to_matrix()
     l_pinv = laplacian_pinv(spec)
-    basis = nullspace_basis(g, cosupport, l_pinv=l_pinv)
+    basis = _basis_from_pinv(l_pinv, cosupport)
     comp = set(cosupport.complement)
 
     analysis_deg = 0
@@ -288,14 +284,14 @@ def model_degree_report(spec: CirculantSpec, cosupport: Cosupport) -> DegreeRepo
         analysis_ok &= set(prof.knots) <= comp
         analysis_deg = max(analysis_deg, prof.max_degree)
         raw = cyclic_difference(col, 2)
-        off = [i for i in range(g.n) if i not in comp]
+        off = [i for i in range(spec.n) if i not in comp]
         if off:
             perturbed_dev = max(perturbed_dev, float(np.abs(raw[off]).max()))
     analysis_ok &= analysis_deg <= 1
 
     synthesis_deg = 0
     synthesis_ok = True
-    for j in range(g.n):
+    for j in range(spec.n):
         prof = piecewise_degree_profile(p_mat @ l_pinv[:, j], 2)
         synthesis_ok &= prof.knots == (j,)
         synthesis_deg = max(synthesis_deg, prof.max_degree)
@@ -323,7 +319,7 @@ def complete_graph_identities(n: int) -> tuple[float, float]:
     g = complete_graph(n)
     lap = laplacian(g)
     st = incidence(g).T
-    l_pinv = pseudoinverse(lap)
+    l_pinv = _laplacian_pinv(lap, 1)
     s_pinv = l_pinv @ st
     residual_s = float(np.abs(s_pinv - st / n).max())
     residual_l = float(np.abs(l_pinv - lap / float(n * n)).max())
@@ -372,7 +368,7 @@ def absorb_discontinuity(
             raise ValueError(f"vertex {name}={v} out of range for n={spec.n}")
     factor_col = np.roll(perturbation_factor(spec).first_row(), j)
     p = np.roll(factor_col, k) - np.roll(factor_col, l)
-    lap = laplacian(compile_circulant(spec))
+    lap = laplacian(spec)
     x = laplacian_pinv(spec) @ p
     cyc_out = cycle_laplacian(spec.n) @ x
     report = AbsorptionReport(

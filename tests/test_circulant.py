@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from lapsig.circulant import (
@@ -23,8 +23,10 @@ from lapsig.circulant import (
     poly_multiply_mod,
     transform_inverse,
 )
-from lapsig.graphs import CirculantSpec, compile_circulant, laplacian, random_circulant_spec
-from lapsig.linalg import eig_symmetric, mpp_axiom_residuals, pseudoinverse
+from lapsig.analysis import nullspace_basis
+from lapsig.graphs import CirculantSpec, Cosupport, compile_circulant, connected_components
+from lapsig.graphs import laplacian, random_circulant_spec
+from lapsig.linalg import column_space_equal, eig_symmetric, mpp_axiom_residuals, pseudoinverse
 from lapsig.synthesis import cyclic_difference
 from lapsig.verification import AXIOM_RTOL, SPECTRAL_PINV_RTOL
 
@@ -310,6 +312,36 @@ class TestLaplacianPinv:
         assert np.abs(fast - dense).max() <= SPECTRAL_PINV_RTOL * max(1.0, np.abs(dense).max())
         axioms = mpp_axiom_residuals(lap, fast)
         assert max(axioms.values()) <= AXIOM_RTOL * max(1.0, np.abs(lap).max())
+
+
+class TestSpecDispatch:
+    """A spec passed where a Graph is taken gives the compiled Graph's result."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(circulant_specs())
+    def test_component_count(self, spec):
+        assert connected_components(spec) == connected_components(compile_circulant(spec))
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(circulant_specs())
+    @example(CirculantSpec(10, ((1, 0.7), (5, 1.3))))
+    def test_laplacian(self, spec):
+        compiled = laplacian(compile_circulant(spec))
+        lap = laplacian(spec)
+        if all(float(d).is_integer() for _, d in spec.generators):
+            np.testing.assert_array_equal(lap, compiled)
+        else:
+            eps = np.finfo(float).eps
+            assert np.abs(lap - compiled).max() <= 8 * eps * max(1.0, np.abs(compiled).max())
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(circulant_specs(n_max=48), st.data())
+    def test_nullspace_basis_spans_the_graph_basis(self, spec, data):
+        assume(connected_components(spec) == 1)
+        support = data.draw(st.sets(st.integers(0, spec.n - 1), min_size=1, max_size=spec.n))
+        cos = Cosupport.from_support(spec.n, support)
+        ours = nullspace_basis(spec, cos).matrix()
+        assert column_space_equal(ours, nullspace_basis(compile_circulant(spec), cos).matrix())
 
 
 class TestDecayProfile:

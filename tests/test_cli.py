@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from lapsig import graphs
 from lapsig.cli import main
 from lapsig.circulant import cycle_pinv
 from lapsig.linalg import load_matrix_csv
@@ -99,6 +100,15 @@ class TestFigures:
 
     def test_atom_out_of_range(self, tmp_path):
         assert main(["figures", "--n", "32", "--out", str(tmp_path / "x")]) == 2
+
+    @pytest.mark.parametrize("atoms", ["3,3", "3,5"])
+    def test_disconnected_panel_is_usage_error(self, tmp_path, capsys, atoms):
+        # hop 2 on n=16 splits the banded panel into even and odd cycles
+        out = tmp_path / "fig"
+        code = main(["figures", "--n", "16", "--hops", "2", "--atoms", atoms, "--out", str(out)])
+        assert code == 2
+        assert "2 connected components" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestVerify:
@@ -306,6 +316,17 @@ class TestSynth:
         assert "numerically disconnected" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["synth", "analysis-basis"])
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+def test_bad_tol_is_usage_error(tmp_path, capsys, command, tol):
+    spec = '{"n": 16, "generators": [[1, 1.0], [2, 1.0]]}'
+    out = tmp_path / "o"
+    code = main([command, "--circulant", spec, "--support", "3,9", "--tol", tol, "--out", str(out)])
+    assert code == 2
+    assert "tolerance must be finite and >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestInputPath:
     """A circulant input takes the DFT path; operators and --graph stay dense."""
 
@@ -337,3 +358,16 @@ class TestInputPath:
         assert main(["synth", "--graph", str(graph), "--support", "0,2",
                      "--out", str(tmp_path / "s")]) == 0
         assert eigh_calls == [(4, 4), (4, 4)]
+
+    def test_circulant_commands_never_build_the_graph(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("edge walk on a circulant input")
+
+        monkeypatch.setattr(graphs, "adjacency", refuse)
+        monkeypatch.setattr(graphs, "_neighbor_lists", refuse)
+        support = ["--support", "21,41"]
+        assert main(["figures", "--out", str(tmp_path / "f")]) == 0
+        assert main(["analysis-basis", "--circulant", BANDED_64, *support,
+                     "--out", str(tmp_path / "b")]) == 0
+        assert main(["synth", "--circulant", BANDED_64, *support,
+                     "--out", str(tmp_path / "s")]) == 0

@@ -23,6 +23,7 @@ from lapsig.graphs import (
     parse_edge_list,
     random_connected_graph,
     random_circulant_spec,
+    _circulant,
 )
 from lapsig.linalg import rank
 
@@ -129,6 +130,12 @@ class TestLaplacian:
             lap = laplacian(compile_circulant(spec))
             for i in range(1, spec.n):
                 np.testing.assert_allclose(lap[i], np.roll(lap[0], i), rtol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 9, 64])
+    def test_circulant_rows_equal_the_index_formula(self, n):
+        row = np.random.default_rng(n).standard_normal(n)
+        idx = np.arange(n)
+        np.testing.assert_array_equal(_circulant(row), row[(idx[None, :] - idx[:, None]) % n])
 
 
 class TestIncidence:

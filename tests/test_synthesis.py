@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lapsig.analysis import cosparsity, nullspace_basis, sampling_matrix, zero_sum_basis
+from lapsig import graphs
+from lapsig.analysis import cosparsity, nullspace_basis, randomized_uniqueness_check
+from lapsig.analysis import sampling_matrix, zero_sum_basis
 from lapsig.circulant import cycle_pinv, perturbation_factor
 from lapsig.graphs import (
     CirculantSpec,
@@ -68,8 +70,8 @@ class TestSynthesize:
         spec = CirculantSpec(16, ((1, 1.0), (2, 1.0)))
         g = compile_circulant(spec)
         l_pinv = pseudoinverse(laplacian(g))
-        base = synthesize(g, (2, 9), (1.0, -1.0), l_pinv=l_pinv)
-        shifted = synthesize(g, (5, 12), (1.0, -1.0), l_pinv=l_pinv)
+        base = synthesize(g, (2, 9), (1.0, -1.0))
+        shifted = synthesize(g, (5, 12), (1.0, -1.0))
         assert np.abs(shifted - np.roll(base, 3)).max() < 1e-12
 
     def test_rejects_bad_support(self):
@@ -263,6 +265,34 @@ class TestCirculantPath:
         spec = CirculantSpec(32, ((1, 1.0), (2, 1.0)))
         assert model_degree_report(spec, Cosupport.from_support(32, (4, 20))).passed
         assert absorb_discontinuity(spec, 0, 2, 9)[2].passed
+
+    def test_degree_report_and_absorption_never_build_the_graph(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("edge walk on a circulant input")
+
+        monkeypatch.setattr(graphs, "adjacency", refuse)
+        monkeypatch.setattr(graphs, "_neighbor_lists", refuse)
+        spec = CirculantSpec(32, ((1, 1.0), (2, 1.0)))
+        assert model_degree_report(spec, Cosupport.from_support(32, (4, 20))).passed
+        assert absorb_discontinuity(spec, 0, 2, 9)[2].passed
+
+
+# Connected by BFS, but the 1e-300 edge sits below the eigensolve's zero cutoff.
+NUMERICALLY_DISCONNECTED_PATH = Graph(5, ((0, 1, 1.0), (1, 2, 1e-300), (2, 3, 1.0), (3, 4, 1.0)))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda g: two_hop_knot_check(g, 0),
+        edge_knot_residual,
+        lambda g: randomized_uniqueness_check(g, 2, 6, trials=3),
+    ],
+    ids=["two_hop_knot_check", "edge_knot_residual", "randomized_uniqueness_check"],
+)
+def test_numerically_disconnected_graph_is_refused(call):
+    with pytest.raises(ValueError, match="numerically disconnected"):
+        call(NUMERICALLY_DISCONNECTED_PATH)
 
 
 class TestCompleteGraphIdentities:
