@@ -1,9 +1,10 @@
 """Cosparse analysis machinery.
 
 Closed-form nullspace bases of row-sampled Laplacians, cosparsity
-measurement against the Laplacian, and the uniqueness diagnostics (maximal
-cosparse subspace dimension, spark of the pseudoinverse dictionary, and a
-randomized at-most-one-solution probe).
+measurement against the Laplacian, and the uniqueness diagnostics: the
+measurement bound 2(n - l), exhaustive oracles for the maximal cosparse
+subspace dimension and the spark of the pseudoinverse dictionary, and a
+randomized at-most-one-solution probe.
 """
 
 from __future__ import annotations
@@ -22,14 +23,11 @@ __all__ = [
     "zero_sum_basis",
     "NullspaceBasis",
     "nullspace_basis",
-    "pairwise_difference_basis",
     "cosparsity",
-    "max_cosparse_dim",
     "max_cosparse_dim_bruteforce",
     "uniqueness_bound",
     "UniquenessCheck",
     "randomized_uniqueness_check",
-    "spark_pinv",
     "spark_bruteforce",
 ]
 
@@ -119,20 +117,6 @@ def _basis_from_pinv(l_pinv: np.ndarray, cosupport: Cosupport) -> NullspaceBasis
     return NullspaceBasis(cosupport, np.ones(cosupport.n), smooth)
 
 
-def pairwise_difference_basis(cosupport: Cosupport) -> np.ndarray:
-    """Alternative zero-sum parameterisation: columns e_i - e_j over
-    consecutive complement vertices.  Spans the same space as
-    Psi_complement^T @ zero_sum_basis."""
-    comp = cosupport.complement
-    if len(comp) < 2:
-        raise ValueError("need at least two support vertices")
-    mat = np.zeros((cosupport.n, len(comp) - 1))
-    for col, (i, j) in enumerate(zip(comp, comp[1:])):
-        mat[i, col] = 1.0
-        mat[j, col] = -1.0
-    return mat
-
-
 def cosparsity(g: Graph | CirculantSpec, x, tol: float = 1e-9) -> tuple[int, Cosupport]:
     """Count of vertices where L x vanishes, with the vanishing set.
 
@@ -153,24 +137,13 @@ def cosparsity(g: Graph | CirculantSpec, x, tol: float = 1e-9) -> tuple[int, Cos
     return len(members), Cosupport(g.n, members)
 
 
-def max_cosparse_dim(g: Graph, l: int) -> int:
-    """Largest nullspace dimension over cosupports of size >= l.
+def max_cosparse_dim_bruteforce(g: Graph | CirculantSpec, l: int) -> int:
+    """Largest nullspace dimension of the Laplacian rows sampled on a
+    cosupport of size >= l, by exhaustive search; exponential, small n only.
 
-    Closed form n - l for a connected graph and 0 <= l < n.  For l >= n the
-    only fully annihilated signals are the constants, so the value clamps
-    to 1 (outside the n - l formula's range).
+    n - l for a connected graph and 0 <= l < n; ``verify`` checks that
+    closed form on every small connected circulant.
     """
-    if connected_components(g) != 1:
-        raise ValueError("measure defined here for connected graphs only")
-    if l < 0:
-        raise ValueError("cosparsity level must be >= 0")
-    if l >= g.n:
-        return 1
-    return g.n - l
-
-
-def max_cosparse_dim_bruteforce(g: Graph, l: int) -> int:
-    """Exhaustive counterpart of max_cosparse_dim; exponential, small n only."""
     lap = laplacian(g)
     best = 0
     for size in range(max(l, 0), g.n + 1):
@@ -236,24 +209,17 @@ def randomized_uniqueness_check(
     return UniquenessCheck(min_gap > UNIQUENESS_GAP_TOL, float(min_gap), trials)
 
 
-def spark_pinv(g: Graph) -> int:
-    """Spark of the Laplacian-pseudoinverse dictionary of a connected graph.
-
-    Equals n: the columns carry exactly one linear dependency (inherited
-    from the constant left-nullvector of the Laplacian), so every n-1 of
-    them stay independent while the full set is dependent.
-    """
-    if connected_components(g) != 1:
-        raise ValueError("spark formula holds for connected graphs")
-    return g.n
-
-
 def spark_bruteforce(a) -> int:
     """Smallest number of linearly dependent columns, by exhaustive search.
 
     A subset counts as dependent when its smallest singular value drops to
     ``INDEPENDENCE_TOL`` or below.  Returns ncols + 1 when every subset is
     independent.  Exponential; intended for n <= 8 cross-checks.
+
+    The L^+ dictionary of a connected graph has spark n: its columns carry
+    exactly one dependency (the constant left-nullvector of L), so every
+    n - 1 of them are independent.  ``verify`` checks this on every small
+    connected circulant.
     """
     arr = np.atleast_2d(np.asarray(a, dtype=float))
     ncols = arr.shape[1]

@@ -11,7 +11,6 @@ the row and is therefore counted once in the evaluation.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +27,6 @@ __all__ = [
     "laplacian_representer",
     "laplacian_pinv",
     "poly_multiply_mod",
-    "cycle_pinv_entry",
     "cycle_pinv",
     "perturbation_factor",
     "transform_inverse",
@@ -36,8 +34,6 @@ __all__ = [
     "pinv_residual_allowance",
     "DecayProfile",
     "decay_profile",
-    "representer_to_json",
-    "representer_from_json",
 ]
 
 ROW_SYM_RTOL = 1e-10  # |row - mirrored row| allowed, relative to max(|row|_max, 1)
@@ -114,20 +110,6 @@ class RepresenterPolynomial:
         return cls(n, tuple(co))
 
 
-def representer_to_json(poly: RepresenterPolynomial) -> dict:
-    return {"n": poly.n, "coeffs": list(poly.coeffs)}
-
-
-def representer_from_json(obj) -> RepresenterPolynomial:
-    """Build a RepresenterPolynomial from {"n": int, "coeffs": [...]}."""
-    if isinstance(obj, str):
-        obj = json.loads(obj)
-    try:
-        return RepresenterPolynomial(int(obj["n"]), tuple(obj["coeffs"]))
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed representer JSON: {exc}") from exc
-
-
 def cycle_representer(n: int) -> RepresenterPolynomial:
     """Representer of the simple-cycle Laplacian: 2 - z - z^{-1}."""
     if n < 3:
@@ -202,15 +184,6 @@ def poly_multiply_mod(
 def _cycle_pinv_value(n: int, shift):
     """Cycle pseudoinverse entry at index offset ``shift`` (|shift| < n)."""
     return (n - 1) * (n + 1) / (12.0 * n) - abs(shift) / 2.0 + shift * shift / (2.0 * n)
-
-
-def cycle_pinv_entry(n: int, i: int, j: int) -> float:
-    """Closed-form entry (i, j) of the simple-cycle Laplacian pseudoinverse."""
-    if n < 3:
-        raise ValueError("a simple cycle needs n >= 3")
-    if not (0 <= i < n and 0 <= j < n):
-        raise ValueError(f"indices ({i}, {j}) out of range for n={n}")
-    return _cycle_pinv_value(n, j - i)
 
 
 def cycle_pinv(n: int) -> np.ndarray:

@@ -30,7 +30,6 @@ __all__ = [
     "complete_graph",
     "random_connected_graph",
     "random_circulant_spec",
-    "graph_to_json",
     "graph_from_json",
     "circulant_spec_to_json",
     "circulant_spec_from_json",
@@ -331,21 +330,25 @@ def random_connected_graph(
 ) -> Graph:
     """Random connected graph: a random spanning tree plus Bernoulli extras.
 
+    Each vertex pair outside the tree, in lexicographic order, takes one
+    uniform draw and joins when it falls below ``extra_edge_prob``; then
+    every edge, in the same order, draws its weight.
+
     weights: "unit" (all 1), "integer" (uniform 1..5) or "uniform" (0.5..2).
     """
     if n < 1:
         raise ValueError("graph needs at least one vertex")
-    order = [int(v) for v in rng.permutation(n)]
-    chosen: set[tuple[int, int]] = set()
+    order = rng.permutation(n)
+    tree = np.zeros((n, n), dtype=bool)
     for idx in range(1, n):
-        u = order[idx]
-        v = order[int(rng.integers(0, idx))]
-        chosen.add((min(u, v), max(u, v)))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if (i, j) not in chosen and rng.random() < extra_edge_prob:
-                chosen.add((i, j))
-    return Graph(n, tuple((i, j, _draw_weight(rng, weights)) for i, j in sorted(chosen)))
+        u, v = order[idx], order[int(rng.integers(0, idx))]
+        tree[min(u, v), max(u, v)] = True
+    rows, cols = np.triu_indices(n, 1)
+    keep = tree[rows, cols]
+    free = ~keep
+    keep[free] = rng.random(int(free.sum())) < extra_edge_prob
+    drawn = _draw_weights(rng, weights, int(keep.sum()))
+    return Graph(n, tuple(zip(rows[keep].tolist(), cols[keep].tolist(), drawn)))
 
 
 def random_circulant_spec(
@@ -361,26 +364,25 @@ def random_circulant_spec(
             break
         if rng.random() < 0.4:
             hops.add(h)
-    return CirculantSpec(n, tuple((h, _draw_weight(rng, weights)) for h in sorted(hops)))
+    ordered = sorted(hops)
+    return CirculantSpec(n, tuple(zip(ordered, _draw_weights(rng, weights, len(ordered)))))
 
 
-def _draw_weight(rng: np.random.Generator, kind: str) -> float:
+def _draw_weights(rng: np.random.Generator, kind: str, count: int) -> list[float]:
+    """``count`` edge weights; one array draw takes the same stream as
+    ``count`` scalar draws."""
     if kind == "unit":
-        return 1.0
+        return [1.0] * count
     if kind == "integer":
-        return float(rng.integers(1, 6))
+        return rng.integers(1, 6, count).astype(float).tolist()
     if kind == "uniform":
-        return float(rng.uniform(0.5, 2.0))
+        return rng.uniform(0.5, 2.0, count).tolist()
     raise ValueError(f"unknown weight kind {kind!r}")
 
 
 # ----------------------------------------------------------------------
 # Serialisation
 # ----------------------------------------------------------------------
-
-
-def graph_to_json(g: Graph) -> dict:
-    return {"n": g.n, "edges": [[i, j, w] for i, j, w in g.edges]}
 
 
 def graph_from_json(obj) -> Graph:

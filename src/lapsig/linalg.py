@@ -30,7 +30,6 @@ __all__ = [
     "column_space_equal",
     "mpp_axiom_residuals",
     "save_matrix_csv",
-    "load_matrix_csv",
 ]
 
 ZERO_FLOOR = 1e-12
@@ -211,6 +210,3 @@ def save_matrix_csv(path, a) -> None:
     arr = np.atleast_2d(_require_finite(a))
     np.savetxt(path, arr, fmt="%.16e", delimiter=",")
 
-
-def load_matrix_csv(path) -> np.ndarray:
-    return np.loadtxt(path, delimiter=",", ndmin=2)

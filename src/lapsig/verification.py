@@ -9,6 +9,7 @@ them directly (including as negative-control targets).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +39,7 @@ SPECTRAL_PINV_RTOL = 1e-10  # DFT vs eigensolve L^+, relative to max(|L^+|_max, 
 CYCLE_PINV_TOL = 1e-9  # closed-form vs eigensolve cycle pseudoinverse
 COMPLETE_GRAPH_TOL = 1e-10  # complete-graph closed-form residuals
 MPP_MAX_N, NULLSPACE_MAX_N, CLOSURE_MAX_N, COMPLETE_GRAPH_MAX_N = 64, 24, 20, 32
+IDENTIFIABILITY_MAX_N = 5  # uniqueness_suite enumerates the circulants up to this n
 
 
 @dataclass
@@ -45,13 +47,37 @@ class SuiteResult:
     name: str
     passed: bool
     details: dict = field(default_factory=dict)
+    checks: int = 0
 
     def to_json(self) -> dict:
-        return {"name": self.name, "passed": self.passed, "details": self.details}
+        return {"name": self.name, "passed": self.passed, "checks": self.checks,
+                "details": self.details}
 
 
-def _note_failure(details: dict, message: str) -> None:
-    details.setdefault("first_failure", message)
+class _Checks:
+    """The check recorder every suite goes through.
+
+    ``check(ok, message)`` counts one check and keeps the first failing
+    message as ``details["first_failure"]``.  Each condition is written as
+    the passing test, so a NaN residual fails.  A suite that ran no check
+    fails too: it has shown nothing.
+    """
+
+    def __init__(self, name: str, details: dict):
+        self.name, self.details = name, details
+        self.count, self.passed = 0, True
+
+    def __call__(self, ok, message: str) -> None:
+        self.count += 1
+        if not ok:
+            self.passed = False
+            self.details.setdefault("first_failure", message)
+
+    def result(self) -> SuiteResult:
+        if not self.count:
+            self.passed = False
+            self.details.setdefault("first_failure", "no check ran")
+        return SuiteResult(self.name, self.passed, self.details, self.count)
 
 
 def mpp_axiom_suite(seed: int = 42, graph_count: int = 50) -> SuiteResult:
@@ -59,7 +85,7 @@ def mpp_axiom_suite(seed: int = 42, graph_count: int = 50) -> SuiteResult:
     rng = np.random.default_rng(seed)
     details: dict = {"graphs": graph_count, "axiom_rtol": AXIOM_RTOL,
                      "projection_tol": PROJECTION_TOL}
-    passed = True
+    check = _Checks("mpp_axioms", details)
     worst_axiom = 0.0
     worst_proj = 0.0
     for _ in range(graph_count):
@@ -73,22 +99,18 @@ def mpp_axiom_suite(seed: int = 42, graph_count: int = 50) -> SuiteResult:
         worst_axiom = max(worst_axiom, rel)
         proj = float(np.abs(lap @ l_pinv - (np.eye(n) - np.ones((n, n)) / n)).max())
         worst_proj = max(worst_proj, proj)
-        if rel > AXIOM_RTOL:
-            passed = False
-            _note_failure(details, f"penrose axiom residual {rel:.3e} on n={n}")
-        if proj > PROJECTION_TOL:
-            passed = False
-            _note_failure(details, f"projection residual {proj:.3e} on n={n}")
+        check(rel <= AXIOM_RTOL, f"penrose axiom residual {rel:.3e} on n={n}")
+        check(proj <= PROJECTION_TOL, f"projection residual {proj:.3e} on n={n}")
     details["max_axiom_residual_rel"] = worst_axiom
     details["max_projection_residual"] = worst_proj
-    return SuiteResult("mpp_axioms", passed, details)
+    return check.result()
 
 
 def nullspace_vs_oracle_suite(seed: int = 42, trials: int = 200) -> SuiteResult:
     """Closed-form sampled-Laplacian nullspace basis against the SVD oracle."""
     rng = np.random.default_rng(seed)
     details: dict = {"trials": trials, "subspace_tol": linalg.SUBSPACE_TOL}
-    passed = True
+    check = _Checks("nullspace_basis_vs_oracle", details)
     for _ in range(trials):
         n = int(rng.integers(3, NULLSPACE_MAX_N + 1))
         g = graphs.random_connected_graph(n, rng)
@@ -98,21 +120,18 @@ def nullspace_vs_oracle_suite(seed: int = 42, trials: int = 200) -> SuiteResult:
         basis = analysis.nullspace_basis(g, cos).matrix()
         sampled = analysis.sampling_matrix(cos.members, n) @ graphs.laplacian(g)
         m = len(cos.complement)
-        if linalg.rank(basis) != m:
-            passed = False
-            _note_failure(details, f"basis rank != {m} on n={n}, |cosupport|={size}")
-        if size and linalg.rank(sampled) != size:
-            passed = False
-            _note_failure(details, f"sampled rows not full rank on n={n}")
-        if not linalg.column_space_equal(basis, linalg.nullspace_oracle(sampled)):
-            passed = False
-            _note_failure(details, f"basis span != oracle span on n={n}, |cosupport|={size}")
-    return SuiteResult("nullspace_basis_vs_oracle", passed, details)
+        check(linalg.rank(basis) == m, f"basis rank != {m} on n={n}, |cosupport|={size}")
+        if size:
+            check(linalg.rank(sampled) == size, f"sampled rows not full rank on n={n}")
+        check(linalg.column_space_equal(basis, linalg.nullspace_oracle(sampled)),
+              f"basis span != oracle span on n={n}, |cosupport|={size}")
+    return check.result()
 
 
 def factorization_suite(seed: int = 42, trials: int = 100) -> SuiteResult:
-    """Cycle factorisation of circulant Laplacians and of their pseudoinverses,
-    and the DFT pseudoinverse against the dense eigensolve (the oracle)."""
+    """Cycle factorisation of circulant Laplacians, as matrices and as
+    representer polynomials, and of their pseudoinverses, and the DFT
+    pseudoinverse against the dense eigensolve (the oracle)."""
     rng = np.random.default_rng(seed)
     details: dict = {
         "trials": trials,
@@ -121,7 +140,7 @@ def factorization_suite(seed: int = 42, trials: int = 100) -> SuiteResult:
         "inverse_agreement_rtol": INVERSE_RTOL,
         "spectral_pinv_rtol": SPECTRAL_PINV_RTOL,
     }
-    passed = True
+    check = _Checks("cycle_factorization", details)
     worst_product = 0.0
     worst_pinv = 0.0
     worst_agreement = 0.0
@@ -137,44 +156,40 @@ def factorization_suite(seed: int = 42, trials: int = 100) -> SuiteResult:
         product_gap = float(np.abs(p_mat @ circulant.cycle_laplacian(n) - lap).max())
         worst_product = max(worst_product, product_gap)
         exact = kind in ("integer", "unit")
-        exact_ok = product_gap == 0.0 if exact else product_gap < PRODUCT_TOL
-        if not exact_ok:
-            passed = False
-            _note_failure(details, f"factor product gap {product_gap:.3e} (n={n}, {kind})")
-        if float(factor.eigenvalues().min()) <= 0.0:
-            passed = False
-            _note_failure(details, f"factor not positive definite (n={n})")
+        check(product_gap == 0.0 if exact else product_gap < PRODUCT_TOL,
+              f"factor product gap {product_gap:.3e} (n={n}, {kind})")
+        product = circulant.poly_multiply_mod(factor, circulant.cycle_representer(n))
+        target = circulant.laplacian_representer(spec)
+        poly_gap = float(np.abs(product.first_row() - target.first_row()).max())
+        check(poly_gap == 0.0 if exact else poly_gap < PRODUCT_TOL,
+              f"representer product gap {poly_gap:.3e} (n={n}, {kind})")
+        check(float(factor.eigenvalues().min()) > 0.0, f"factor not positive definite (n={n})")
         l_pinv = linalg.pseudoinverse(lap)
         p_inv, residual = circulant.pinv_factorization(spec, l_pinv=l_pinv)
         allow = circulant.pinv_residual_allowance(l_pinv)
         worst_pinv = max(worst_pinv, residual / allow)
-        if residual > allow:
-            passed = False
-            _note_failure(details, f"pinv split residual {residual:.3e} (n={n})")
+        check(residual <= allow, f"pinv split residual {residual:.3e} (n={n})")
         spectral_gap = float(np.abs(circulant.laplacian_pinv(spec) - l_pinv).max())
         spectral_rel = spectral_gap / max(1.0, float(np.abs(l_pinv).max()))
         worst_spectral = max(worst_spectral, spectral_rel)
-        if spectral_rel > SPECTRAL_PINV_RTOL:
-            passed = False
-            _note_failure(details, f"DFT vs eigensolve L^+ gap {spectral_rel:.3e} (n={n})")
+        check(spectral_rel <= SPECTRAL_PINV_RTOL,
+              f"DFT vs eigensolve L^+ gap {spectral_rel:.3e} (n={n})")
         via_transform = circulant.transform_inverse(factor)
         agree = float(np.abs(p_inv - via_transform).max())
         allow_inv = INVERSE_RTOL * max(1.0, float(np.abs(p_inv).max()))
         worst_agreement = max(worst_agreement, agree / allow_inv)
-        if agree > allow_inv:
-            passed = False
-            _note_failure(details, f"dense vs transform inverse gap {agree:.3e} (n={n})")
+        check(agree <= allow_inv, f"dense vs transform inverse gap {agree:.3e} (n={n})")
     details["max_product_gap"] = worst_product
     details["max_pinv_residual_vs_allowance"] = worst_pinv
     details["max_inverse_gap_vs_allowance"] = worst_agreement
     details["max_spectral_pinv_gap_rel"] = worst_spectral
-    return SuiteResult("cycle_factorization", passed, details)
+    return check.result()
 
 
 def cycle_pinv_suite(n_max: int = 128) -> SuiteResult:
     """Closed-form cycle pseudoinverse against the dense eigensolve, n = 3..n_max."""
     details: dict = {"n_range": [3, n_max], "tol": CYCLE_PINV_TOL}
-    passed = True
+    check = _Checks("cycle_pinv_closed_form", details)
     worst = 0.0
     for n in range(3, n_max + 1):
         gap = float(
@@ -184,11 +199,9 @@ def cycle_pinv_suite(n_max: int = 128) -> SuiteResult:
             ).max()
         )
         worst = max(worst, gap)
-        if gap > CYCLE_PINV_TOL:
-            passed = False
-            _note_failure(details, f"closed form off by {gap:.3e} at n={n}")
+        check(gap <= CYCLE_PINV_TOL, f"closed form off by {gap:.3e} at n={n}")
     details["max_gap"] = worst
-    return SuiteResult("cycle_pinv_closed_form", passed, details)
+    return check.result()
 
 
 def model_degree_suite() -> SuiteResult:
@@ -199,7 +212,7 @@ def model_degree_suite() -> SuiteResult:
         (graphs.CirculantSpec(16, ((1, 1.0),)), (3, 11)),
     ]
     details: dict = {"cases": []}
-    passed = True
+    check = _Checks("model_degrees", details)
     for spec, support in cases:
         cos = graphs.Cosupport.from_support(spec.n, support)
         report = synthesis.model_degree_report(spec, cos)
@@ -213,10 +226,8 @@ def model_degree_suite() -> SuiteResult:
                 "passed": report.passed,
             }
         )
-        if not report.passed:
-            passed = False
-            _note_failure(details, f"degree report failed on n={spec.n}, hops={spec.hops}")
-    return SuiteResult("model_degrees", passed, details)
+        check(report.passed, f"degree report failed on n={spec.n}, hops={spec.hops}")
+    return check.result()
 
 
 def closure_suite(seed: int = 42, trials: int = 25, inject_coeffs=None) -> SuiteResult:
@@ -230,7 +241,7 @@ def closure_suite(seed: int = 42, trials: int = 25, inject_coeffs=None) -> Suite
     """
     rng = np.random.default_rng(seed)
     details: dict = {"trials": trials}
-    passed = True
+    check = _Checks("analysis_synthesis_closure", details)
     for _ in range(trials):
         n = int(rng.integers(4, CLOSURE_MAX_N + 1))
         g = graphs.random_connected_graph(n, rng)
@@ -240,53 +251,71 @@ def closure_suite(seed: int = 42, trials: int = 25, inject_coeffs=None) -> Suite
         basis = analysis.nullspace_basis(g, cos)
         x = basis.matrix() @ rng.standard_normal(basis.dim)
         count, recovered = analysis.cosparsity(g, x)
-        if not set(members) <= set(recovered.members):
-            passed = False
-            _note_failure(details, f"cosupport not annihilated on n={n}")
-        image = graphs.laplacian(g) @ x
-        if count < n and not synthesis.structured_sparsity_check(image):
-            passed = False
-            _note_failure(details, f"Laplacian image failed the zero-sum test on n={n}")
+        check(set(members) <= set(recovered.members), f"cosupport not annihilated on n={n}")
+        if count < n:
+            image = graphs.laplacian(g) @ x
+            check(synthesis.structured_sparsity_check(image),
+                  f"Laplacian image failed the zero-sum test on n={n}")
     for vec in inject_coeffs or ():
-        if not synthesis.structured_sparsity_check(vec):
-            passed = False
-            _note_failure(details, "injected coefficient vector is not zero-sum")
-    return SuiteResult("analysis_synthesis_closure", passed, details)
+        check(synthesis.structured_sparsity_check(vec),
+              "injected coefficient vector is not zero-sum")
+    return check.result()
+
+
+def _connected_unit_circulants(max_n: int):
+    """Every connected unit-weight circulant graph with 3 <= n <= max_n."""
+    for n in range(3, max_n + 1):
+        hops = range(1, n // 2 + 1)
+        for r in range(1, len(hops) + 1):
+            for subset in itertools.combinations(hops, r):
+                spec = graphs.CirculantSpec(n, tuple((h, 1.0) for h in subset))
+                if graphs.connected_components(spec) == 1:
+                    yield spec
 
 
 def uniqueness_suite(seed: int = 42, trials: int = 100) -> SuiteResult:
-    """Randomized at-most-one-solution probe at the measurement bound."""
+    """Identifiability chain: a randomized at-most-one-solution probe at the
+    measurement bound 2(n - l), then, on every connected unit-weight
+    circulant up to IDENTIFIABILITY_MAX_N, the two facts behind that bound
+    by exhaustive search: the L^+ dictionary has spark n and the maximal
+    cosparse dimension at level l is n - l."""
     g = graphs.cycle_graph(6)
     level = 4
     m = analysis.uniqueness_bound(g.n, level)
-    check = analysis.randomized_uniqueness_check(g, level, m, trials=trials, seed=seed)
+    probe = analysis.randomized_uniqueness_check(g, level, m, trials=trials, seed=seed)
     gap_tol = analysis.UNIQUENESS_GAP_TOL
     details = {
         "n": g.n,
         "cosparsity": level,
         "measurements": m,
-        "trials": check.trials,
-        "min_gap": check.min_gap,
+        "trials": probe.trials,
+        "min_gap": probe.min_gap,
         "gap_tol": gap_tol,
     }
-    if not check.passed:
-        _note_failure(details, f"measurement gap {check.min_gap:.3e} under {gap_tol:.0e}")
-    return SuiteResult("uniqueness_randomized", check.passed, details)
+    check = _Checks("uniqueness_randomized", details)
+    check(probe.passed, f"measurement gap {probe.min_gap:.3e} under {gap_tol:.0e}")
+    for spec in _connected_unit_circulants(IDENTIFIABILITY_MAX_N):
+        n = spec.n
+        spark = analysis.spark_bruteforce(circulant.laplacian_pinv(spec))
+        check(spark == n, f"spark of L^+ is {spark}, not n={n} (hops {spec.hops})")
+        for l in range(n):
+            dim = analysis.max_cosparse_dim_bruteforce(spec, l)
+            check(dim == n - l,
+                  f"max cosparse dim {dim} at l={l}, not n - l = {n - l} (hops {spec.hops})")
+    return check.result()
 
 
 def complete_graph_suite() -> SuiteResult:
     """Closed-form pseudoinverse identities on complete graphs."""
     details: dict = {"n_range": [2, COMPLETE_GRAPH_MAX_N], "tol": COMPLETE_GRAPH_TOL}
-    passed = True
+    check = _Checks("complete_graph_identities", details)
     worst = 0.0
     for n in range(2, COMPLETE_GRAPH_MAX_N + 1):
-        res_s, res_l = synthesis.complete_graph_identities(n)
-        worst = max(worst, res_s, res_l)
-        if max(res_s, res_l) > COMPLETE_GRAPH_TOL:
-            passed = False
-            _note_failure(details, f"complete-graph residual {max(res_s, res_l):.3e} at n={n}")
+        residual = max(synthesis.complete_graph_identities(n))
+        worst = max(worst, residual)
+        check(residual <= COMPLETE_GRAPH_TOL, f"complete-graph residual {residual:.3e} at n={n}")
     details["max_residual"] = worst
-    return SuiteResult("complete_graph_identities", passed, details)
+    return check.result()
 
 
 def absorption_suite() -> SuiteResult:
@@ -297,7 +326,7 @@ def absorption_suite() -> SuiteResult:
         (graphs.CirculantSpec(64, ((1, 1.0), (2, 1.0), (3, 1.0))), 0, 21, 41),
     ]
     details: dict = {"cases": []}
-    passed = True
+    check = _Checks("discontinuity_absorption", details)
     for spec, j, k, l in cases:
         _, _, report = synthesis.absorb_discontinuity(spec, j, k, l)
         details["cases"].append(
@@ -309,10 +338,8 @@ def absorption_suite() -> SuiteResult:
                 "passed": report.passed,
             }
         )
-        if not report.passed:
-            passed = False
-            _note_failure(details, f"absorption supports mismatch on n={spec.n}")
-    return SuiteResult("discontinuity_absorption", passed, details)
+        check(report.passed, f"absorption supports mismatch on n={spec.n}")
+    return check.result()
 
 
 def run_all(seed: int = 42, trials: int | None = None) -> list[SuiteResult]:

@@ -41,7 +41,6 @@ from lapsig.graphs import (
 )
 from lapsig.linalg import (
     column_space_equal,
-    load_matrix_csv,
     mpp_axiom_residuals,
     nullspace_oracle,
     pseudoinverse,

@@ -7,14 +7,11 @@ import pytest
 
 from lapsig.analysis import (
     cosparsity,
-    max_cosparse_dim,
     max_cosparse_dim_bruteforce,
     nullspace_basis,
-    pairwise_difference_basis,
     randomized_uniqueness_check,
     sampling_matrix,
     spark_bruteforce,
-    spark_pinv,
     uniqueness_bound,
     zero_sum_basis,
 )
@@ -141,38 +138,6 @@ class TestNullspaceBasis:
             assert column_space_equal(basis, nullspace_oracle(sampled))
 
 
-class TestPairwiseDifferenceBasis:
-    def test_adjacent_pair(self):
-        mat = pairwise_difference_basis(Cosupport.from_support(4, (0, 1)))
-        np.testing.assert_array_equal(mat[:, 0], [1, -1, 0, 0])
-
-    def test_eight_cycle_pair(self):
-        mat = pairwise_difference_basis(Cosupport.from_support(8, (2, 5)))
-        expected = np.zeros(8)
-        expected[2], expected[5] = 1.0, -1.0
-        np.testing.assert_array_equal(mat[:, 0], expected)
-
-    def test_same_span_as_zero_sum_embedding(self):
-        cos = Cosupport.from_support(8, (1, 3, 6))
-        psi_t = sampling_matrix(cos.complement, 8).T
-        embedded = psi_t @ zero_sum_basis(3)
-        assert column_space_equal(embedded, pairwise_difference_basis(cos))
-
-    def test_random_spans_agree(self):
-        rng = np.random.default_rng(23)
-        for _ in range(15):
-            n = int(rng.integers(4, 16))
-            size = int(rng.integers(2, n + 1))
-            support = sorted(rng.choice(n, size=size, replace=False).tolist())
-            cos = Cosupport.from_support(n, support)
-            embedded = sampling_matrix(cos.complement, n).T @ zero_sum_basis(size)
-            assert column_space_equal(embedded, pairwise_difference_basis(cos))
-
-    def test_requires_two_support_vertices(self):
-        with pytest.raises(ValueError):
-            pairwise_difference_basis(Cosupport.from_support(4, (1,)))
-
-
 class TestCosparsity:
     def test_constant_signal_fully_annihilated(self):
         g = cycle_graph(6)
@@ -203,12 +168,8 @@ class TestCosparsity:
 class TestCosparseDimension:
     def test_closed_form(self):
         g = cycle_graph(8)
-        assert max_cosparse_dim(g, 6) == 2
-        assert max_cosparse_dim(g, 0) == 8
-
-    def test_full_annihilation_clamps_to_constants(self):
-        assert max_cosparse_dim(cycle_graph(8), 8) == 1
-        assert max_cosparse_dim(cycle_graph(8), 9) == 1
+        assert max_cosparse_dim_bruteforce(g, 6) == 2
+        assert max_cosparse_dim_bruteforce(g, 0) == 8
 
     def test_bruteforce_six_cycle(self):
         g = cycle_graph(6)
@@ -217,11 +178,7 @@ class TestCosparseDimension:
     def test_bruteforce_matches_closed_form(self):
         g = compile_circulant(CirculantSpec(5, ((1, 1.0), (2, 1.0))))
         for level in range(5):
-            assert max_cosparse_dim_bruteforce(g, level) == max_cosparse_dim(g, level)
-
-    def test_rejects_disconnected(self):
-        with pytest.raises(ValueError):
-            max_cosparse_dim(Graph(4, ((0, 1, 1.0), (2, 3, 1.0))), 1)
+            assert max_cosparse_dim_bruteforce(g, level) == g.n - level
 
 
 class TestUniqueness:
@@ -249,8 +206,8 @@ class TestUniqueness:
 
 class TestSpark:
     def test_closed_form_values(self):
-        assert spark_pinv(cycle_graph(5)) == 5
-        assert spark_pinv(complete_graph(4)) == 4
+        assert spark_bruteforce(pseudoinverse(laplacian(cycle_graph(5)))) == 5
+        assert spark_bruteforce(pseudoinverse(laplacian(complete_graph(4)))) == 4
 
     def test_bruteforce_two_hop_six(self):
         g = compile_circulant(CirculantSpec(6, ((1, 1.0), (2, 1.0))))
@@ -268,7 +225,3 @@ class TestSpark:
 
     def test_bruteforce_full_rank_square(self):
         assert spark_bruteforce(np.eye(3)) == 4
-
-    def test_rejects_disconnected(self):
-        with pytest.raises(ValueError):
-            spark_pinv(Graph(4, ((0, 1, 1.0), (2, 3, 1.0))))

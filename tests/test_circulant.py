@@ -13,7 +13,6 @@ from lapsig.circulant import (
     RepresenterPolynomial,
     cycle_laplacian,
     cycle_pinv,
-    cycle_pinv_entry,
     cycle_representer,
     decay_profile,
     laplacian_pinv,
@@ -78,15 +77,6 @@ class TestRepresenterPolynomial:
     def test_from_first_row_rejects_asymmetry(self):
         with pytest.raises(ValueError, match="not symmetric"):
             RepresenterPolynomial.from_first_row(np.array([1.0, 2.0, 0.0, 3.0]))
-
-    def test_json_roundtrip(self):
-        from lapsig.circulant import representer_from_json, representer_to_json
-
-        poly = RepresenterPolynomial(8, (4.0, -1.0, -1.0))
-        assert representer_from_json(representer_to_json(poly)) == poly
-        assert representer_from_json('{"n": 6, "coeffs": [2.0, -1.0]}') == cycle_representer(6)
-        with pytest.raises(ValueError, match="malformed"):
-            representer_from_json('{"coeffs": [1.0]}')
 
 
 class TestLaplacianRepresenter:
@@ -153,9 +143,9 @@ class TestPolyMultiply:
 
 class TestCyclePinv:
     def test_closed_form_entries_n4(self):
-        assert cycle_pinv_entry(4, 0, 0) == pytest.approx(0.3125)
-        assert cycle_pinv_entry(4, 0, 2) == pytest.approx(-0.1875)
-        row = [cycle_pinv_entry(4, 0, j) for j in range(4)]
+        assert cycle_pinv(4)[0, 0] == pytest.approx(0.3125)
+        assert cycle_pinv(4)[0, 2] == pytest.approx(-0.1875)
+        row = [cycle_pinv(4)[0, j] for j in range(4)]
         assert sum(row) == pytest.approx(0.0, abs=1e-14)
 
     def test_matrix_matches_entries(self):
@@ -163,7 +153,7 @@ class TestCyclePinv:
         np.testing.assert_allclose(mat[0], [0.3125, -0.0625, -0.1875, -0.0625])
         for i in range(4):
             for j in range(4):
-                assert mat[i, j] == pytest.approx(cycle_pinv_entry(4, i, j))
+                assert mat[i, j] == pytest.approx(cycle_pinv(4)[i, j])
 
     @pytest.mark.parametrize("n", [3, 4, 5, 8, 16, 33, 64])
     def test_against_dense_pseudoinverse(self, n):
@@ -204,10 +194,6 @@ class TestCyclePinv:
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
             cycle_pinv(2)
-        with pytest.raises(ValueError):
-            cycle_pinv_entry(2, 0, 0)
-        with pytest.raises(ValueError):
-            cycle_pinv_entry(5, 0, 5)
 
 
 class TestPerturbationFactor:

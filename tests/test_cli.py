@@ -8,7 +8,6 @@ import pytest
 from lapsig import graphs
 from lapsig.cli import main
 from lapsig.circulant import cycle_pinv
-from lapsig.linalg import load_matrix_csv
 
 FOUR_CYCLE = '{"n": 4, "generators": [[1, 1.0]]}'
 BANDED_64 = '{"n": 64, "generators": [[1, 1.0], [2, 1.0], [3, 1.0]]}'
@@ -25,7 +24,7 @@ class TestOperators:
         for name in ("L.csv", "S.csv", "Lpinv.csv", "Spinv.csv", "report.json"):
             assert (out / name).exists()
         np.testing.assert_allclose(
-            load_matrix_csv(out / "Lpinv.csv")[0],
+            np.loadtxt(out / "Lpinv.csv", delimiter=",", ndmin=2)[0],
             [0.3125, -0.0625, -0.1875, -0.0625],
             atol=1e-9,
         )
@@ -40,8 +39,8 @@ class TestOperators:
         graph.write_text(json.dumps({"n": 4, "edges": edges}))
         out = tmp_path / "ops"
         assert main(["operators", "--graph", str(graph), "--out", str(out)]) == 0
-        lap = load_matrix_csv(out / "L.csv")
-        l_pinv = load_matrix_csv(out / "Lpinv.csv")
+        lap = np.loadtxt(out / "L.csv", delimiter=",", ndmin=2)
+        l_pinv = np.loadtxt(out / "Lpinv.csv", delimiter=",", ndmin=2)
         assert np.abs(l_pinv - lap / 16.0).max() < 1e-12
 
     def test_disconnected_still_emits(self, tmp_path):
@@ -148,6 +147,15 @@ class TestVerify:
         assert suites["cycle_factorization"]["max_spectral_pinv_gap_rel"] <= 1e-10
         assert "min_gap" in suites["uniqueness_randomized"]
 
+    def test_report_counts_checks(self, tmp_path):
+        out = tmp_path / "verify"
+        assert main(["verify", "--trials", "4", "--out", str(out)]) == 0
+        checks = {s["name"]: s["checks"] for s in _read_json(out / "verify.json")["suites"]}
+        assert len(checks) == 9 and all(count >= 1 for count in checks.values())
+        assert checks["cycle_factorization"] == 6 * 4
+        assert checks["mpp_axioms"] == 2 * 4
+        assert checks["uniqueness_randomized"] == 33
+
     @pytest.mark.parametrize("trials", ["-1", "0"])
     def test_rejects_trials_below_one(self, tmp_path, trials):
         out = tmp_path / "verify"
@@ -188,7 +196,7 @@ class TestAnalysisBasis:
             ]
         )
         assert code == 0
-        basis = load_matrix_csv(out / "basis.csv")
+        basis = np.loadtxt(out / "basis.csv", delimiter=",", ndmin=2)
         assert basis.shape == (8, 2)
         assert _read_json(out / "cosupport.json") == [0, 1, 3, 4, 6, 7]
         report = _read_json(out / "report.json")

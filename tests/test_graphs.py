@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lapsig.graphs import (
     CirculantSpec,
@@ -15,7 +17,6 @@ from lapsig.graphs import (
     circulant_spec_from_json,
     format_edge_list,
     graph_from_json,
-    graph_to_json,
     hop_distances,
     incidence,
     khop_localization_check,
@@ -246,10 +247,6 @@ class TestCosupport:
 
 
 class TestSerialisation:
-    def test_graph_json_roundtrip(self):
-        g = Graph(5, ((0, 1, 1.5), (2, 4, 2.0)))
-        assert graph_from_json(graph_to_json(g)) == g
-
     def test_circulant_json(self):
         spec = circulant_spec_from_json('{"n": 8, "generators": [[1, 1.0], [2, 0.5]]}')
         assert spec == CirculantSpec(8, ((1, 1.0), (2, 0.5)))
@@ -288,3 +285,66 @@ class TestRandomGenerators:
             spec = random_circulant_spec(n, rng)
             assert 1 in spec.hops
             assert 2 * spec.bandwidth < n
+
+
+def _scalar_random_connected_graph(n, rng, extra_edge_prob, weights):
+    """Reference: the per-pair loop, one scalar draw per pair and weight."""
+    order = [int(v) for v in rng.permutation(n)]
+    chosen = set()
+    for idx in range(1, n):
+        u = order[idx]
+        v = order[int(rng.integers(0, idx))]
+        chosen.add((min(u, v), max(u, v)))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if (i, j) not in chosen and rng.random() < extra_edge_prob:
+                chosen.add((i, j))
+    return Graph(n, tuple((i, j, _scalar_weight(rng, weights)) for i, j in sorted(chosen)))
+
+
+def _scalar_random_circulant_spec(n, rng, weights):
+    hops = {1}
+    for h in range(2, (n - 1) // 2 + 1):
+        if len(hops) >= 4:
+            break
+        if rng.random() < 0.4:
+            hops.add(h)
+    return CirculantSpec(n, tuple((h, _scalar_weight(rng, weights)) for h in sorted(hops)))
+
+
+def _scalar_weight(rng, kind):
+    if kind == "unit":
+        return 1.0
+    if kind == "integer":
+        return float(rng.integers(1, 6))
+    return float(rng.uniform(0.5, 2.0))
+
+
+KINDS = st.sampled_from(["unit", "integer", "uniform"])
+SEEDS = st.integers(0, 2**32 - 1)
+PROBS = st.one_of(st.sampled_from([0.0, 0.15, 1.0]), st.floats(0.0, 1.0))
+
+
+class TestGeneratorStreams:
+    """The array draws take exactly the stream the scalar loops took: the
+    same graph, and the generator left in the same state."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(SEEDS, st.integers(1, 64), KINDS, PROBS)
+    def test_random_connected_graph_matches_scalar_draws(self, seed, n, kind, prob):
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        expected = _scalar_random_connected_graph(n, a, prob, kind)
+        assert random_connected_graph(n, b, prob, kind) == expected
+        assert b.random() == a.random()
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(SEEDS, st.integers(3, 64), KINDS)
+    def test_random_circulant_spec_matches_scalar_draws(self, seed, n, kind):
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        expected = _scalar_random_circulant_spec(n, a, kind)
+        assert random_circulant_spec(n, b, kind) == expected
+        assert b.random() == a.random()
+
+    def test_rejects_unknown_weight_kind(self):
+        with pytest.raises(ValueError, match="weight kind"):
+            random_connected_graph(4, np.random.default_rng(0), weights="gamma")

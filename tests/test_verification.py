@@ -1,0 +1,84 @@
+"""The check recorder behind every verification suite: counts, zero-check
+failures, NaN residuals and negative controls for the identifiability and
+representer-product checks."""
+
+import numpy as np
+import pytest
+
+from lapsig import analysis, circulant, linalg, verification
+from lapsig.circulant import RepresenterPolynomial
+from lapsig.verification import (
+    closure_suite,
+    cycle_pinv_suite,
+    factorization_suite,
+    mpp_axiom_suite,
+    nullspace_vs_oracle_suite,
+    uniqueness_suite,
+)
+
+
+class TestCheckRecorder:
+    def test_counts_and_keeps_first_failure(self):
+        details = {}
+        check = verification._Checks("demo", details)
+        check(True, "fine")
+        check(False, "first")
+        check(False, "second")
+        result = check.result()
+        assert (result.name, result.passed, result.checks) == ("demo", False, 3)
+        assert details["first_failure"] == "first"
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: closure_suite(trials=0),
+        lambda: cycle_pinv_suite(n_max=2),
+        lambda: nullspace_vs_oracle_suite(trials=0),
+        lambda: mpp_axiom_suite(graph_count=0),
+        lambda: factorization_suite(trials=0),
+    ],
+    ids=["closure", "cycle_pinv", "nullspace", "mpp_axioms", "factorization"],
+)
+def test_suite_that_checked_nothing_fails(run):
+    result = run()
+    assert result.passed is False
+    assert result.checks == 0
+    assert result.details["first_failure"] == "no check ran"
+
+
+def test_nan_pseudoinverse_fails_cycle_pinv_suite(monkeypatch):
+    monkeypatch.setattr(linalg, "pseudoinverse", lambda a: np.full(np.shape(a), np.nan))
+    result = cycle_pinv_suite(n_max=8)
+    assert result.passed is False
+    assert result.checks == 6
+
+
+def test_wrong_spark_fails_uniqueness_suite(monkeypatch):
+    monkeypatch.setattr(analysis, "spark_bruteforce", lambda a: np.shape(a)[1] - 1)
+    result = uniqueness_suite(trials=5)
+    assert result.passed is False
+    assert "spark" in result.details["first_failure"]
+
+
+def test_wrong_cosparse_dimension_fails_uniqueness_suite(monkeypatch):
+    original = analysis.max_cosparse_dim_bruteforce
+    monkeypatch.setattr(analysis, "max_cosparse_dim_bruteforce",
+                        lambda g, l: original(g, l) + (l == 2))
+    result = uniqueness_suite(trials=5)
+    assert result.passed is False
+    assert "cosparse dim" in result.details["first_failure"]
+
+
+def test_perturbed_representer_fails_factorization_suite(monkeypatch):
+    original = circulant.laplacian_representer
+
+    def perturbed(spec):
+        poly = original(spec)
+        return RepresenterPolynomial(poly.n, poly.coeffs[:-1] + (poly.coeffs[-1] + 1e-9,))
+
+    monkeypatch.setattr(circulant, "laplacian_representer", perturbed)
+    result = factorization_suite(trials=3)
+    assert result.passed is False
+    assert "representer" in result.details["first_failure"]
+
