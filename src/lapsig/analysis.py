@@ -128,13 +128,18 @@ def cosparsity(g: Graph | CirculantSpec, x, tol: float = 1e-9) -> tuple[int, Cos
     vec = _require_finite(x, "signal")
     if vec.shape != (g.n,):
         raise ValueError(f"signal shape {vec.shape} does not match n={g.n}")
-    lx = laplacian(g) @ vec
+    return _annihilated(laplacian(g) @ vec, tol)
+
+
+def _annihilated(lx: np.ndarray, tol: float) -> tuple[int, Cosupport]:
+    """The zero count of ``cosparsity`` on a Laplacian image L x already formed."""
+    _require_tolerance(tol)
     scale = float(np.abs(lx).max())
     if scale <= ZERO_FLOOR:
-        members: tuple[int, ...] = tuple(range(g.n))
+        members: tuple[int, ...] = tuple(range(lx.size))
     else:
         members = tuple(int(i) for i in np.flatnonzero(np.abs(lx) <= tol * scale))
-    return len(members), Cosupport(g.n, members)
+    return len(members), Cosupport(lx.size, members)
 
 
 def max_cosparse_dim_bruteforce(g: Graph | CirculantSpec, l: int) -> int:

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import cosparsity, nullspace_basis
+from .analysis import _annihilated, cosparsity, nullspace_basis
 from .circulant import laplacian_pinv
 from .graphs import (
     CirculantSpec,
@@ -33,8 +33,7 @@ from .graphs import (
     laplacian,
     parse_edge_list,
 )
-from .linalg import eig_symmetric, mpp_axiom_residuals, rank
-from .linalg import save_matrix_csv
+from .linalg import _write_csv, eig_symmetric, mpp_axiom_residuals, rank, save_matrix_csv
 from .svgplot import line_plot_svg
 from .synthesis import structured_sparsity_check, synthesize
 from .verification import run_all
@@ -93,9 +92,7 @@ def _write_json(path: Path, obj) -> None:
 
 def _write_indexed_csv(path: Path, *columns) -> None:
     """One line per vertex: its index, then each column's value there."""
-    with open(path, "w") as fh:
-        for i, row in enumerate(zip(*columns)):
-            fh.write(f"{i:d}," + ",".join(f"{v:.16e}" for v in row) + "\n")
+    _write_csv(path, np.column_stack(columns), index=True)
 
 
 # ----------------------------------------------------------------------
@@ -219,9 +216,10 @@ def cmd_analysis_basis(args) -> int:
     g = _load_graph(args)
     cos = _cosupport_from_args(args, g.n)
     mat = nullspace_basis(g, cos).matrix()
+    lap = laplacian(g)
     columns = []
     for idx in range(mat.shape[1]):
-        count, recovered = cosparsity(g, mat[:, idx], tol=args.tol)
+        count, recovered = _annihilated(lap @ mat[:, idx], args.tol)
         columns.append(
             {
                 "column": idx,

@@ -12,6 +12,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -206,7 +207,193 @@ def mpp_axiom_residuals(a, a_pinv) -> dict[str, float]:
 
 
 def save_matrix_csv(path, a) -> None:
-    """Write a dense matrix as CSV, one row per line, 17 significant digits."""
-    arr = np.atleast_2d(_require_finite(a))
-    np.savetxt(path, arr, fmt="%.16e", delimiter=",")
+    """Write a dense matrix as CSV, one row per line, 17 significant digits.
+
+    The bytes are those of ``np.savetxt(path, a, fmt="%.16e", delimiter=",")``.
+    """
+    _write_csv(path, np.atleast_2d(_require_finite(a)))
+
+
+# ----------------------------------------------------------------------
+# The "%.16e" CSV writer
+#
+# Each cell is written as sign, d.dddddddddddddddd, e, sign and two or three
+# exponent digits; a zero is a fixed text, with its sign.  The 17 digits are round(|x| * 10^(16-k)) with
+# k = floor(log10 |x|): the product is formed in double-double (Dekker's
+# split and two-product, since numpy has no fused multiply-add) against an
+# exact hi/lo pair for 10^(16-k), so its fractional part is known to about
+# 1e-14 and exact ties round half to even, as "%.16e" does.  An error that
+# moves the fraction across an integer leaves the rounded digits unchanged,
+# so only ties need care.  A row holding a cell this cannot settle is
+# formatted by Python's "%.16e" instead: a magnitude outside
+# [_SAFE_MIN, _SAFE_MAX] (subnormals, the largest floats, non-finite
+# values), a digit count off because log10 missed k, or an inexact product
+# within _NEAR of a tie.
+# ----------------------------------------------------------------------
+
+_CHUNK_CELLS = 32768  # cells formatted per block; bounds the temporaries
+_SAFE_MIN, _SAFE_MAX = 1e-270, 1e270  # no over- or underflow in the product
+_K_MIN, _K_MAX = -272, 272  # decimal exponents the tables cover
+_NEAR = 1e-6  # distance from a tie that sends an inexact product to Python
+_INDEX_LIMIT = 10**8  # a line index of at most 8 digits takes the numpy path
+_CELL_WORDS = 7  # pad, sign, d, ".", 16 digits, e, sign, 2-3 digits, ",", pads
+_INDEX_WORDS = 3  # 8 digits of the line number, ",", pads
+
+
+@functools.cache
+def _csv_tables() -> dict[str, np.ndarray]:
+    """Powers of ten as hi/lo pairs and the byte words of the cell layout,
+    built on the first write (a few milliseconds).
+
+    Every padding byte of a cell (0) sits at its start or end, so the pads
+    of neighbouring cells form one run: dropping them copies one run per
+    cell, which is what numpy's boolean indexing is fast at.
+    """
+    hi, lo = [], []
+    for p in range(16 - _K_MAX, 16 - _K_MIN + 1):
+        if p >= 0:
+            exact = 10**p
+            h = float(exact)
+            hi.append(h)
+            lo.append(float(exact - int(h)))
+        else:
+            den = 10**-p
+            h = 1 / den
+            num, two = h.as_integer_ratio()
+            hi.append(h)
+            lo.append((two - num * den) / (den * two))
+    def words(texts):
+        return np.frombuffer(b"".join(texts), dtype=np.uint32)
+
+    digits = (np.arange(10**4)[:, None] // [1000, 100, 10, 1] % 10 + ord("0")).astype(np.uint8)
+    digits = digits.view(np.uint32).ravel()
+    lead = words(b"\0%s%d." % (sign, d) for sign in (b"\0", b"-") for d in range(10))
+    # e, sign, 2 or 3 digits and "," padded to two words; + 1 for the carry to 10^17
+    exps = words((b"e%+03d," % e).ljust(8, b"\0") for e in range(_K_MIN, _K_MAX + 2))
+    exp_head, exp_tail = exps[0::2].copy(), exps[1::2].copy()
+    return {
+        "pow_hi": np.array(hi[::-1]),  # indexed by k - _K_MIN
+        "pow_lo": np.array(lo[::-1]),
+        "digits": digits,
+        "lead": lead,
+        "exp_head": exp_head,
+        "exp_tail": exp_tail,
+        # the words of 0.0000000000000000e+00,
+        "zero": np.array([lead[0], *[digits[0]] * 4, exp_head[-_K_MIN], exp_tail[-_K_MIN]]),
+    }
+
+
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dekker's split: a = hi + lo with each half holding at most 26 bits."""
+    c = 134217729.0 * a  # 2^27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _digits(x: np.ndarray):
+    """The 17 significant digits and decimal exponent of each nonzero cell,
+    with the mask of cells whose digits are not certain (both 0 there)."""
+    t = _csv_tables()
+    mag = np.abs(x)
+    unsafe = ~((mag >= _SAFE_MIN) & (mag <= _SAFE_MAX))
+    mag[unsafe] = 1.0
+    k = np.floor(np.log10(mag)).astype(np.int64)
+    # q = mag * 10^(16-k) = ph + pl + mag * lo, with ph + pl = mag * hi exactly
+    hi = np.take(t["pow_hi"], k - _K_MIN)
+    lo = np.take(t["pow_lo"], k - _K_MIN)
+    ph = mag * hi
+    mh, ml = _split(mag)
+    hh, hl = _split(hi)
+    pl = ((mh * hh - ph) + mh * hl + ml * hh) + ml * hl
+    rest = pl + mag * lo
+    whole = np.floor(rest)
+    frac = rest - whole
+    digits = ph.astype(np.int64) + whole.astype(np.int64)
+    unsafe |= (digits < 10**16) | (digits >= 10**17)
+    unsafe |= (lo != 0.0) & (np.abs(frac - 0.5) < _NEAR)
+    digits += (frac > 0.5) | ((frac == 0.5) & (digits & 1).astype(bool))
+    carry = digits == 10**17
+    digits[carry] = 10**16
+    k += carry
+    digits[unsafe] = 0
+    k[unsafe] = 0
+    return digits, k, unsafe
+
+
+def _format_block(block: np.ndarray, first: int, index: bool):
+    """Cell bytes of a row block, 0 where a byte is padding, and the mask of
+    rows that Python must format."""
+    rows, cols = block.shape
+    t = _csv_tables()
+    x = block.ravel()
+    nonzero = np.flatnonzero(x)
+    cells = np.empty((x.size, _CELL_WORDS), dtype=np.uint32)
+    if nonzero.size < x.size:  # zero cells skip the digits; -0.0 keeps its sign
+        cells[:] = t["zero"]
+        cells[np.signbit(x), 0] = t["lead"][10]
+        x = x[nonzero]
+        out = np.empty((x.size, _CELL_WORDS), dtype=np.uint32)
+    else:
+        out = cells
+    digits, k, unsafe = _digits(x)
+    lead = digits // 10**16
+    rest = digits - lead * 10**16
+    high = rest // 10**8
+    low = (rest - high * 10**8).astype(np.uint32)
+    high = high.astype(np.uint32)
+    lead += 10 * np.signbit(x)
+    np.take(t["lead"], lead, out=out[:, 0], mode="wrap")
+    for word, part in ((1, high), (3, low)):
+        group = part // 10**4
+        np.take(t["digits"], group, out=out[:, word], mode="wrap")
+        np.take(t["digits"], part - group * 10**4, out=out[:, word + 1], mode="wrap")
+    np.take(t["exp_head"], k - _K_MIN, out=out[:, 5], mode="wrap")
+    np.take(t["exp_tail"], k - _K_MIN, out=out[:, 6], mode="wrap")
+    if out is not cells:
+        cells[nonzero] = out
+    words = cells.reshape(rows, cols * _CELL_WORDS)
+    end = words[:, -1:].view(np.uint8)  # the last cell's "," becomes "\n"
+    end[end == ord(",")] = ord("\n")
+    bad = np.zeros(rows, dtype=bool)
+    bad[nonzero[unsafe] // cols] = True
+    if index:
+        line = np.arange(first, first + rows)
+        bad |= line >= _INDEX_LIMIT
+        line %= _INDEX_LIMIT
+        prefix = np.empty((rows, _INDEX_WORDS), dtype=np.uint32)
+        prefix[:, 0] = t["digits"][line // 10**4]
+        prefix[:, 1] = t["digits"][line % 10**4]
+        prefix[:, 2] = np.frombuffer(b",\0\0\0", dtype=np.uint32)[0]
+        head = prefix.view(np.uint8)[:, :7]
+        head[np.cumprod(head == ord("0"), axis=1, dtype=bool)] = 0
+        words = np.concatenate([prefix, words], axis=1)
+    return words.view(np.uint8), bad
+
+
+def _python_row(row: np.ndarray, line: int, index: bool) -> bytes:
+    head = f"{line:d}," if index else ""
+    return (head + ",".join("%.16e" % v for v in row.tolist()) + "\n").encode()
+
+
+def _write_csv(path, arr: np.ndarray, index: bool = False) -> None:
+    """Write a 2-D float array as "%.16e" cells joined by "," (each line led
+    by its row number and "," when ``index``), one line per row, in blocks of
+    about _CHUNK_CELLS cells."""
+    arr = np.asarray(arr, dtype=float)
+    rows, cols = arr.shape
+    with open(path, "wb") as fh:
+        if cols == 0:
+            fh.write(b"\n" * rows)
+            return
+        step = max(1, _CHUNK_CELLS // cols)
+        for first in range(0, rows, step):
+            block = arr[first : first + step]
+            text, bad = _format_block(block, first, index)
+            start = 0
+            for r in [*np.flatnonzero(bad), len(block)]:
+                part = text[start:r]
+                fh.write(part[part != 0])
+                if r < len(block):
+                    fh.write(_python_row(block[r], first + r, index))
+                start = r + 1
 

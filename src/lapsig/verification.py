@@ -10,6 +10,7 @@ them directly (including as negative-control targets).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,6 +55,12 @@ class SuiteResult:
                 "details": self.details}
 
 
+def _worst(*residuals: float) -> float:
+    """The largest residual, NaN when any is NaN: the built-in ``max`` skips
+    a NaN that is not first (``max(0.0, nan)`` is 0.0)."""
+    return math.nan if any(map(math.isnan, residuals)) else max(residuals)
+
+
 class _Checks:
     """The check recorder every suite goes through.
 
@@ -95,10 +102,10 @@ def mpp_axiom_suite(seed: int = 42, graph_count: int = 50) -> SuiteResult:
         l_pinv = linalg.pseudoinverse(lap)
         scale = max(1.0, float(np.abs(lap).max()))
         axioms = linalg.mpp_axiom_residuals(lap, l_pinv)
-        rel = max(axioms.values()) / scale
-        worst_axiom = max(worst_axiom, rel)
+        rel = _worst(*axioms.values()) / scale
+        worst_axiom = _worst(worst_axiom, rel)
         proj = float(np.abs(lap @ l_pinv - (np.eye(n) - np.ones((n, n)) / n)).max())
-        worst_proj = max(worst_proj, proj)
+        worst_proj = _worst(worst_proj, proj)
         check(rel <= AXIOM_RTOL, f"penrose axiom residual {rel:.3e} on n={n}")
         check(proj <= PROJECTION_TOL, f"projection residual {proj:.3e} on n={n}")
     details["max_axiom_residual_rel"] = worst_axiom
@@ -154,7 +161,7 @@ def factorization_suite(seed: int = 42, trials: int = 100) -> SuiteResult:
         p_mat = factor.to_matrix()
         lap = graphs.laplacian(graphs.compile_circulant(spec))
         product_gap = float(np.abs(p_mat @ circulant.cycle_laplacian(n) - lap).max())
-        worst_product = max(worst_product, product_gap)
+        worst_product = _worst(worst_product, product_gap)
         exact = kind in ("integer", "unit")
         check(product_gap == 0.0 if exact else product_gap < PRODUCT_TOL,
               f"factor product gap {product_gap:.3e} (n={n}, {kind})")
@@ -167,17 +174,17 @@ def factorization_suite(seed: int = 42, trials: int = 100) -> SuiteResult:
         l_pinv = linalg.pseudoinverse(lap)
         p_inv, residual = circulant.pinv_factorization(spec, l_pinv=l_pinv)
         allow = circulant.pinv_residual_allowance(l_pinv)
-        worst_pinv = max(worst_pinv, residual / allow)
+        worst_pinv = _worst(worst_pinv, residual / allow)
         check(residual <= allow, f"pinv split residual {residual:.3e} (n={n})")
         spectral_gap = float(np.abs(circulant.laplacian_pinv(spec) - l_pinv).max())
         spectral_rel = spectral_gap / max(1.0, float(np.abs(l_pinv).max()))
-        worst_spectral = max(worst_spectral, spectral_rel)
+        worst_spectral = _worst(worst_spectral, spectral_rel)
         check(spectral_rel <= SPECTRAL_PINV_RTOL,
               f"DFT vs eigensolve L^+ gap {spectral_rel:.3e} (n={n})")
         via_transform = circulant.transform_inverse(factor)
         agree = float(np.abs(p_inv - via_transform).max())
         allow_inv = INVERSE_RTOL * max(1.0, float(np.abs(p_inv).max()))
-        worst_agreement = max(worst_agreement, agree / allow_inv)
+        worst_agreement = _worst(worst_agreement, agree / allow_inv)
         check(agree <= allow_inv, f"dense vs transform inverse gap {agree:.3e} (n={n})")
     details["max_product_gap"] = worst_product
     details["max_pinv_residual_vs_allowance"] = worst_pinv
@@ -198,7 +205,7 @@ def cycle_pinv_suite(n_max: int = 128) -> SuiteResult:
                 - linalg.pseudoinverse(circulant.cycle_laplacian(n))
             ).max()
         )
-        worst = max(worst, gap)
+        worst = _worst(worst, gap)
         check(gap <= CYCLE_PINV_TOL, f"closed form off by {gap:.3e} at n={n}")
     details["max_gap"] = worst
     return check.result()
@@ -311,8 +318,8 @@ def complete_graph_suite() -> SuiteResult:
     check = _Checks("complete_graph_identities", details)
     worst = 0.0
     for n in range(2, COMPLETE_GRAPH_MAX_N + 1):
-        residual = max(synthesis.complete_graph_identities(n))
-        worst = max(worst, residual)
+        residual = _worst(*synthesis.complete_graph_identities(n))
+        worst = _worst(worst, residual)
         check(residual <= COMPLETE_GRAPH_TOL, f"complete-graph residual {residual:.3e} at n={n}")
     details["max_residual"] = worst
     return check.result()

@@ -149,11 +149,11 @@ class TestCyclePinv:
         assert sum(row) == pytest.approx(0.0, abs=1e-14)
 
     def test_matrix_matches_entries(self):
-        mat = cycle_pinv(4)
-        np.testing.assert_allclose(mat[0], [0.3125, -0.0625, -0.1875, -0.0625])
-        for i in range(4):
-            for j in range(4):
-                assert mat[i, j] == pytest.approx(cycle_pinv(4)[i, j])
+        for n in (3, 4, 7, 16):
+            i, j = np.indices((n, n))
+            d = np.abs(i - j)
+            expected = (n * n - 1) / (12 * n) - d * (n - d) / (2 * n)
+            np.testing.assert_allclose(cycle_pinv(n), expected, rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("n", [3, 4, 5, 8, 16, 33, 64])
     def test_against_dense_pseudoinverse(self, n):

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from lapsig import graphs
+from lapsig import analysis, cli, graphs
 from lapsig.cli import main
 from lapsig.circulant import cycle_pinv
 
@@ -221,6 +221,22 @@ class TestAnalysisBasis:
         )
         assert code == 0
         assert _read_json(out / "report.json")["support"] == [2, 5]
+
+    def test_forms_the_laplacian_once(self, tmp_path, monkeypatch):
+        calls = []
+        laplacian = graphs.laplacian
+
+        def counted(g):
+            calls.append(g.n)
+            return laplacian(g)
+
+        monkeypatch.setattr(cli, "laplacian", counted)
+        monkeypatch.setattr(analysis, "laplacian", counted)
+        out = tmp_path / "basis"
+        assert main(["analysis-basis", "--circulant", BANDED_64, "--support", "3,9,21,41,50",
+                     "--out", str(out)]) == 0
+        assert len(_read_json(out / "report.json")["columns"]) == 5
+        assert calls == [64]
 
     def test_disconnected_refused(self, tmp_path):
         graph = tmp_path / "g.txt"

@@ -1,7 +1,19 @@
-"""Eigendecomposition, pseudoinversion, rank and subspace comparison."""
+"""Eigendecomposition, pseudoinversion, rank, subspace comparison and the
+byte-exact "%.16e" CSV writer."""
+
+import io
+import math
+import struct
+import tempfile
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lapsig import linalg
 
 from lapsig.graphs import (
     CirculantSpec,
@@ -205,3 +217,126 @@ class TestMatrixCsv:
     def test_rejects_nan(self, tmp_path):
         with pytest.raises(ValueError, match="non-finite"):
             save_matrix_csv(tmp_path / "bad.csv", np.array([[np.inf]]))
+
+
+def _savetxt_bytes(a) -> bytes:
+    """The reference: what np.savetxt writes for the same matrix."""
+    buf = io.BytesIO()
+    np.savetxt(buf, np.atleast_2d(a), fmt="%.16e", delimiter=",")
+    return buf.getvalue()
+
+
+def _written(path, a) -> bytes:
+    save_matrix_csv(path, a)
+    return path.read_bytes()
+
+
+def _below_powers_of_ten():
+    """For each 10^p, the largest double below it, and that double's neighbours."""
+    out = []
+    for p in range(-307, 309):
+        exact = Fraction(10) ** p
+        x = float(exact)
+        if Fraction(x) >= exact:
+            x = math.nextafter(x, 0.0)
+        out += [math.nextafter(x, 0.0), x, math.nextafter(x, math.inf)]
+    return np.array(out)
+
+
+_FINITE_BITS = st.integers(0, 2**64 - 1).map(
+    lambda b: struct.unpack("<d", struct.pack("<Q", b))[0]).filter(math.isfinite)
+
+
+class TestCsvBytes:
+    """save_matrix_csv writes exactly the bytes of np.savetxt(fmt="%.16e")."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 5).flatmap(
+        lambda cols: st.lists(
+            st.lists(st.one_of(_FINITE_BITS, st.floats(allow_nan=False, allow_infinity=False)),
+                     min_size=cols, max_size=cols),
+            min_size=1, max_size=5)))
+    def test_matches_savetxt_on_any_finite_bits(self, rows):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "a.csv"
+            assert _written(path, np.array(rows)) == _savetxt_bytes(np.array(rows))
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            # exact decimal ties m * 2^-j, which round half to even
+            [m * 2.0**-j for j in range(0, 90) for m in range(1, 64, 2)],
+            # powers of ten and their neighbours, 1e16, 1e17, 1e22 and 1e23 among them
+            [s * v for p in range(-25, 26) for s in (1.0, -1.0)
+             for v in (math.nextafter(10.0**p, 0.0), 10.0**p, math.nextafter(10.0**p, math.inf))],
+            # the doubles just below each power of ten, 14 of which print as 1.0000000000000000e+p
+            _below_powers_of_ten(),
+            # subnormals, signed zeros and the extremes of the float range
+            [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+             1e-270, 1e270, np.finfo(float).max, -np.finfo(float).max, np.finfo(float).tiny],
+            # integers and the decimal grid of everyday values
+            [float(v) for v in range(-1000, 1001)] + [v / 1000 for v in range(-1000, 1001)],
+            # a block of zeros alone, which skips the digits
+            [0.0] * 14 + [-0.0] * 7,
+        ],
+        ids=["ties", "powers_of_ten", "below_powers_of_ten", "extremes", "grid", "zeros"],
+    )
+    def test_matches_savetxt_on_edge_values(self, tmp_path, values):
+        a = np.asarray(values, dtype=float)
+        cols = 7
+        a = np.concatenate([a, np.zeros(-a.size % cols)]).reshape(-1, cols)
+        assert _written(tmp_path / "a.csv", a) == _savetxt_bytes(a)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (0, 4), (4, 0), (0, 0)])
+    def test_matches_savetxt_on_shapes(self, tmp_path, shape):
+        a = np.random.default_rng(11).standard_normal(shape)
+        assert _written(tmp_path / "a.csv", a) == _savetxt_bytes(a)
+        if shape[1] == 0:
+            assert (tmp_path / "a.csv").read_bytes() == b"\n" * shape[0]
+
+    def test_taller_than_one_block_with_python_rows(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(12)
+        a = rng.standard_normal((3000, 30)) * 10.0 ** rng.integers(-20, 20, size=(3000, 30))
+        unsafe_rows = [0, 1091, 1092, 2183, 2999]  # 1092 rows make one block
+        a[unsafe_rows, rng.integers(0, 30, size=5)] = 5e-324
+        assert a.size > linalg._CHUNK_CELLS
+        seen = []
+        python_row = linalg._python_row
+        monkeypatch.setattr(linalg, "_python_row",
+                            lambda row, line, index: seen.append(line) or python_row(row, line, index))
+        assert _written(tmp_path / "a.csv", a) == _savetxt_bytes(a)
+        assert seen == unsafe_rows
+
+    def test_inexact_product_near_a_tie_takes_python(self, tmp_path, monkeypatch):
+        # 3 * 2^-24 = 1.78813934326171875e-07: an exact tie, but 10^23 is not a
+        # double, so the product is inexact and Python settles the rounding
+        a = np.array([[3 * 2.0**-24, 1.0], [0.5, 0.25]])
+        seen = []
+        python_row = linalg._python_row
+        monkeypatch.setattr(linalg, "_python_row",
+                            lambda row, line, index: seen.append(line) or python_row(row, line, index))
+        assert _written(tmp_path / "a.csv", a) == _savetxt_bytes(a)
+        assert seen == [0]
+        assert (tmp_path / "a.csv").read_bytes().startswith(b"1.7881393432617188e-07,")
+
+
+class TestIndexedCsv:
+    """Each line led by its row number, as the figures and synth CSVs are."""
+
+    @staticmethod
+    def _reference(a) -> bytes:
+        return "".join(f"{i:d}," + ",".join(f"{v:.16e}" for v in row) + "\n"
+                       for i, row in enumerate(a)).encode()
+
+    def test_matches_per_value_format(self, tmp_path):
+        rng = np.random.default_rng(13)
+        a = rng.standard_normal((12000, 3)) * 10.0 ** rng.integers(-5, 5, size=(12000, 3))
+        a[[0, 9, 10, 99, 100, 9999, 10000, 11999]] = [-0.0, 5e-324, 1.0]
+        linalg._write_csv(tmp_path / "a.csv", a, index=True)
+        assert (tmp_path / "a.csv").read_bytes() == self._reference(a)
+
+    def test_long_line_numbers_take_python(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(linalg, "_INDEX_LIMIT", 100)
+        a = np.random.default_rng(14).standard_normal((150, 2))
+        linalg._write_csv(tmp_path / "a.csv", a, index=True)
+        assert (tmp_path / "a.csv").read_bytes() == self._reference(a)

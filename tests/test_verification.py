@@ -2,13 +2,16 @@
 failures, NaN residuals and negative controls for the identifiability and
 representer-product checks."""
 
+import math
+
 import numpy as np
 import pytest
 
-from lapsig import analysis, circulant, linalg, verification
+from lapsig import analysis, circulant, linalg, synthesis, verification
 from lapsig.circulant import RepresenterPolynomial
 from lapsig.verification import (
     closure_suite,
+    complete_graph_suite,
     cycle_pinv_suite,
     factorization_suite,
     mpp_axiom_suite,
@@ -52,6 +55,26 @@ def test_nan_pseudoinverse_fails_cycle_pinv_suite(monkeypatch):
     result = cycle_pinv_suite(n_max=8)
     assert result.passed is False
     assert result.checks == 6
+    assert math.isnan(result.details["max_gap"])
+
+
+def test_nan_residual_after_the_first_fails_and_is_reported(monkeypatch):
+    monkeypatch.setattr(synthesis, "complete_graph_identities", lambda n: (0.0, np.nan))
+    result = complete_graph_suite()
+    assert result.passed is False
+    assert math.isnan(result.details["max_residual"])
+
+
+@pytest.mark.parametrize(
+    "residuals",
+    [(0.0, math.nan), (math.nan, 1.0), (1.0, math.nan, 2.0), (0.0, 0.5, 0.25)],
+)
+def test_worst_residual_propagates_nan(residuals):
+    worst = verification._worst(*residuals)
+    if any(map(math.isnan, residuals)):
+        assert math.isnan(worst)
+    else:
+        assert worst == max(residuals)
 
 
 def test_wrong_spark_fails_uniqueness_suite(monkeypatch):
