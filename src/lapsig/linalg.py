@@ -227,8 +227,9 @@ def save_matrix_csv(path, a) -> None:
 # so only ties need care.  A row holding a cell this cannot settle is
 # formatted by Python's "%.16e" instead: a magnitude outside
 # [_SAFE_MIN, _SAFE_MAX] (subnormals, the largest floats, non-finite
-# values), a digit count off because log10 missed k, or an inexact product
-# within _NEAR of a tie.
+# values), a digit count still off after the retry at k - 1 that a double
+# just below a power of ten needs (log10 rounds it up), or an inexact
+# product within _NEAR of a tie.
 # ----------------------------------------------------------------------
 
 _CHUNK_CELLS = 32768  # cells formatted per block; bounds the temporaries
@@ -290,15 +291,11 @@ def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return hi, a - hi
 
 
-def _digits(x: np.ndarray):
-    """The 17 significant digits and decimal exponent of each nonzero cell,
-    with the mask of cells whose digits are not certain (both 0 there)."""
+def _scaled(mag: np.ndarray, k: np.ndarray):
+    """Integer part and fraction of q = mag * 10^(16-k), and whether the
+    power of ten is inexact as a double."""
     t = _csv_tables()
-    mag = np.abs(x)
-    unsafe = ~((mag >= _SAFE_MIN) & (mag <= _SAFE_MAX))
-    mag[unsafe] = 1.0
-    k = np.floor(np.log10(mag)).astype(np.int64)
-    # q = mag * 10^(16-k) = ph + pl + mag * lo, with ph + pl = mag * hi exactly
+    # q = ph + pl + mag * lo, with ph + pl = mag * hi exactly
     hi = np.take(t["pow_hi"], k - _K_MIN)
     lo = np.take(t["pow_lo"], k - _K_MIN)
     ph = mag * hi
@@ -307,10 +304,24 @@ def _digits(x: np.ndarray):
     pl = ((mh * hh - ph) + mh * hl + ml * hh) + ml * hl
     rest = pl + mag * lo
     whole = np.floor(rest)
-    frac = rest - whole
-    digits = ph.astype(np.int64) + whole.astype(np.int64)
+    return ph.astype(np.int64) + whole.astype(np.int64), rest - whole, lo != 0.0
+
+
+def _digits(x: np.ndarray):
+    """The 17 significant digits and decimal exponent of each nonzero cell,
+    with the mask of cells whose digits are not certain (both 0 there)."""
+    mag = np.abs(x)
+    unsafe = ~((mag >= _SAFE_MIN) & (mag <= _SAFE_MAX))
+    mag[unsafe] = 1.0
+    k = np.floor(np.log10(mag)).astype(np.int64)
+    digits, frac, inexact = _scaled(mag, k)
+    # log10 rounds a double just below 10^p up to p, one digit short: retry at p - 1
+    short = np.flatnonzero(digits < 10**16)
+    if short.size:
+        k[short] -= 1
+        digits[short], frac[short], inexact[short] = _scaled(mag[short], k[short])
     unsafe |= (digits < 10**16) | (digits >= 10**17)
-    unsafe |= (lo != 0.0) & (np.abs(frac - 0.5) < _NEAR)
+    unsafe |= inexact & (np.abs(frac - 0.5) < _NEAR)
     digits += (frac > 0.5) | ((frac == 0.5) & (digits & 1).astype(bool))
     carry = digits == 10**17
     digits[carry] = 10**16

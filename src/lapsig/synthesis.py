@@ -13,15 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circulant import cycle_laplacian, laplacian_pinv, perturbation_factor
-from .circulant import pinv_factorization, pinv_residual_allowance
+from .circulant import cycle_laplacian, cycle_pinv, laplacian_pinv, perturbation_factor
+from .circulant import pinv_residual_allowance, transform_inverse
 from .graphs import (
     CirculantSpec,
     Cosupport,
     Graph,
     complete_graph,
     connected_components,
-    incidence,
     laplacian,
 )
 from .linalg import ZERO_FLOOR, _laplacian_pinv, _require_finite, _require_tolerance
@@ -43,6 +42,8 @@ __all__ = [
 ]
 
 KNOT_TOL = 1e-7  # relative size at which an entry or a difference counts as nonzero
+_EDGE_BLOCK_CELLS = 1 << 16  # values gathered per block of edges; bounds the temporaries
+_PROFILE_BLOCK = 128  # atoms formed and profiled at once by model_degree_report
 
 
 def synthesize(g: Graph | CirculantSpec, support, coeffs) -> np.ndarray:
@@ -93,8 +94,31 @@ def edge_knot_residual(g: Graph) -> float:
     if connected_components(g) != 1:
         raise ValueError("identity stated for connected graphs")
     lap = laplacian(g)
-    st = incidence(g).T
-    return float(np.abs(lap @ (_laplacian_pinv(lap, 1) @ st) - st).max())
+    # L (L^+ S^T) - S^T = M S^T with M = L L^+ - I, whose transpose is L^+ L - I
+    m_t = _laplacian_pinv(lap, 1) @ lap
+    m_t[np.diag_indices_from(m_t)] -= 1.0
+    return _max_abs_times_incidence_t(m_t, g)
+
+
+def _max_abs_times_incidence_t(a_t: np.ndarray, g: Graph) -> float:
+    """|A S^T|_max for the incidence S of ``g``, given A^T, with no n x m array.
+
+    Row e of S carries +sqrt(w_e) at i_e and -sqrt(w_e) at j_e, so column e
+    of A S^T is sqrt(w_e) (A[:, i_e] - A[:, j_e]): rows i_e and j_e of A^T,
+    gathered for a block of edges at a time.  0.0 for a graph with no edges.
+    """
+    edges = np.array(g.edges, dtype=float).reshape(-1, 3)
+    ends = edges[:, :2].astype(np.intp)
+    roots = np.sqrt(edges[:, 2])
+    step = max(1, _EDGE_BLOCK_CELLS // max(g.n, 1))
+    peaks = []
+    for first in range(0, len(edges), step):
+        part = slice(first, first + step)
+        cols = np.take(a_t, ends[part, 0], axis=0)
+        cols -= np.take(a_t, ends[part, 1], axis=0)
+        cols *= roots[part, None]
+        peaks.append(np.abs(cols).max())
+    return float(np.max(peaks, initial=0.0))
 
 
 def two_hop_knot_check(g: Graph, j: int) -> tuple[float, bool | None]:
@@ -146,10 +170,14 @@ def cyclic_difference(x, order: int) -> np.ndarray:
     output index (order 2 at i uses x[i-1], x[i], x[i+1])."""
     if order < 1:
         raise ValueError("difference order must be >= 1")
-    y = np.asarray(x, dtype=float)
+    return _cyclic_difference(np.asarray(x, dtype=float), order)
+
+
+def _cyclic_difference(y: np.ndarray, order: int) -> np.ndarray:
+    """``cyclic_difference`` along axis 0: of a vector, or of every column."""
     for _ in range(order):
-        y = np.roll(y, -1) - y
-    return np.roll(y, order // 2)
+        y = np.roll(y, -1, axis=0) - y
+    return np.roll(y, order // 2, axis=0)
 
 
 @dataclass(frozen=True)
@@ -187,34 +215,49 @@ def piecewise_degree_profile(x, annihilator_order: int = 2) -> PiecewiseProfile:
     spread across every vertex.  Segment degrees are fitted with plain
     one-sided differences inside each run between consecutive knots.
     """
-    if annihilator_order not in (1, 2, 4):
+    return _profiles(np.asarray(x, dtype=float)[:, None], annihilator_order)[0]
+
+
+def _profiles(mat: np.ndarray, order: int) -> list[PiecewiseProfile]:
+    """``piecewise_degree_profile`` of every column of an n x m matrix.
+
+    The annihilator, its median and the knot threshold are taken along axis
+    0 for all columns at once; the runs and their degrees column by column.
+    """
+    if order not in (1, 2, 4):
         raise ValueError("annihilator order must be 1, 2 or 4")
-    vec = np.asarray(x, dtype=float)
+    m = mat.shape[1]
+    out = _cyclic_difference(mat, order)
+    dev = np.abs(out - np.median(out, axis=0))
+    scale = dev.max(axis=0)
+    hits = (dev > KNOT_TOL * scale) & (scale > ZERO_FLOOR)
+    col, row = np.nonzero(hits.T)  # knots column by column, ascending
+    bounds = np.searchsorted(col, np.arange(m + 1)).tolist()
+    row = row.tolist()
+    profiles = []
+    for c in range(m):
+        knots = tuple(row[bounds[c] : bounds[c + 1]])
+        segments, degrees = _runs(mat[:, c], knots)
+        profiles.append(PiecewiseProfile(knots, segments, degrees, order))
+    return profiles
+
+
+def _runs(vec: np.ndarray, knots: tuple[int, ...]):
+    """The open cyclic runs between consecutive knots, with their degrees."""
     n = vec.size
-    out = cyclic_difference(vec, annihilator_order)
-    dev = np.abs(out - np.median(out))
-    scale = float(dev.max())
-    if scale <= ZERO_FLOOR:
-        knots: tuple[int, ...] = ()
-    else:
-        knots = tuple(int(i) for i in np.flatnonzero(dev > KNOT_TOL * scale))
     if not knots:
-        segments: tuple[tuple[int, ...], ...] = (tuple(range(n)),)
-    else:
-        runs = []
-        for t, k in enumerate(knots):
-            nxt = knots[(t + 1) % len(knots)]
-            run = []
-            i = (k + 1) % n
-            while i != nxt:
-                run.append(i)
-                i = (i + 1) % n
-            runs.append(tuple(run))
-        segments = tuple(runs)
-    degrees = tuple(
-        _segment_degree(vec[list(run)]) if run else None for run in segments
-    )
-    return PiecewiseProfile(knots, segments, degrees, annihilator_order)
+        return (tuple(range(n)),), (_segment_degree(vec) if n else None,)
+    segments, degrees = [], []
+    for k, nxt in zip(knots, knots[1:] + knots[:1]):
+        if nxt > k:
+            run = tuple(range(k + 1, nxt))
+            vals = vec[k + 1 : nxt]
+        else:  # the run that wraps past n - 1
+            run = (*range(k + 1, n), *range(nxt))
+            vals = np.concatenate([vec[k + 1 :], vec[:nxt]])
+        segments.append(run)
+        degrees.append(_segment_degree(vals) if run else None)
+    return tuple(segments), tuple(degrees)
 
 
 def _segment_degree(vals: np.ndarray) -> int:
@@ -223,8 +266,10 @@ def _segment_degree(vals: np.ndarray) -> int:
     if m <= 1:
         return 0
     scale = max(float(np.abs(vals).max()), 1.0)
+    diff = vals
     for p in range(0, m - 1):
-        if float(np.abs(np.diff(vals, p + 1)).max()) <= KNOT_TOL * scale:
+        diff = np.diff(diff)  # the (p + 1)-th difference
+        if float(np.abs(diff).max()) <= KNOT_TOL * scale:
             return p
     return m - 1
 
@@ -269,44 +314,56 @@ def model_degree_report(spec: CirculantSpec, cosupport: Cosupport) -> DegreeRepo
     P @ (L^+)_j, which equals the cycle pseudoinverse column j, is piecewise
     quadratic with its knot at j; (c) the pseudoinverse factorisation
     residual stays within tolerance, so the perturbation is exactly the
-    inverse factor.
+    inverse factor.  The n atoms come from products of P with blocks of
+    columns of L^+, not n matrix-vector products, and P^{-1} for (c) from
+    the spectrum of P.
     """
-    p_mat = perturbation_factor(spec).to_matrix()
+    factor = perturbation_factor(spec)
+    p_mat = factor.to_matrix()
     l_pinv = laplacian_pinv(spec)
-    basis = _basis_from_pinv(l_pinv, cosupport)
+    smooth = _basis_from_pinv(l_pinv, cosupport).smooth_part
     comp = set(cosupport.complement)
+    off = [i for i in range(spec.n) if i not in comp]
 
-    analysis_deg = 0
-    analysis_ok = True
+    analysis = _profiles(p_mat @ smooth, 2)
+    analysis_deg = max((prof.max_degree for prof in analysis), default=0)
+    analysis_ok = all(set(prof.knots) <= comp for prof in analysis) and analysis_deg <= 1
     perturbed_dev = 0.0
-    for col in basis.smooth_part.T:
-        prof = piecewise_degree_profile(p_mat @ col, 2)
-        analysis_ok &= set(prof.knots) <= comp
-        analysis_deg = max(analysis_deg, prof.max_degree)
-        raw = cyclic_difference(col, 2)
-        off = [i for i in range(spec.n) if i not in comp]
-        if off:
-            perturbed_dev = max(perturbed_dev, float(np.abs(raw[off]).max()))
-    analysis_ok &= analysis_deg <= 1
+    if off and analysis:
+        perturbed_dev = float(np.abs(_cyclic_difference(smooth, 2)[off]).max())
 
-    synthesis_deg = 0
-    synthesis_ok = True
-    for j in range(spec.n):
-        prof = piecewise_degree_profile(p_mat @ l_pinv[:, j], 2)
-        synthesis_ok &= prof.knots == (j,)
-        synthesis_deg = max(synthesis_deg, prof.max_degree)
+    synthesis_ok, synthesis_deg = _atom_degrees(p_mat, l_pinv)
     synthesis_ok &= synthesis_deg <= 2
 
-    _, residual = pinv_factorization(spec, l_pinv=l_pinv)
+    split = transform_inverse(factor) @ cycle_pinv(spec.n)
+    split -= l_pinv
     return DegreeReport(
         analysis_max_degree=analysis_deg,
         analysis_ok=analysis_ok,
         synthesis_max_degree=synthesis_deg,
         synthesis_ok=synthesis_ok,
-        factorization_residual=residual,
+        factorization_residual=float(np.abs(split).max()),
         residual_tol=pinv_residual_allowance(l_pinv),
         perturbed_offknot_second_difference=perturbed_dev,
     )
+
+
+def _atom_degrees(p_mat: np.ndarray, l_pinv: np.ndarray) -> tuple[bool, int]:
+    """Whether each atom P (L^+)_j has the single knot j, and the largest
+    segment degree.
+
+    The atoms are formed and profiled _PROFILE_BLOCK columns at a time, one
+    BLAS product per block.  A whole n x n array of atoms measured worse:
+    at n = 1024 it raised the circulant benchmark's peak RSS from about 151
+    to 180 MB on some seeds, as freed heap memory stayed resident.
+    """
+    ok, degree = True, 0
+    for first in range(0, l_pinv.shape[1], _PROFILE_BLOCK):
+        block = _profiles(p_mat @ l_pinv[:, first : first + _PROFILE_BLOCK], 2)
+        for j, prof in enumerate(block, start=first):
+            ok &= prof.knots == (j,)
+            degree = max(degree, prof.max_degree)
+    return ok, degree
 
 
 def complete_graph_identities(n: int) -> tuple[float, float]:
@@ -318,10 +375,9 @@ def complete_graph_identities(n: int) -> tuple[float, float]:
     """
     g = complete_graph(n)
     lap = laplacian(g)
-    st = incidence(g).T
     l_pinv = _laplacian_pinv(lap, 1)
-    s_pinv = l_pinv @ st
-    residual_s = float(np.abs(s_pinv - st / n).max())
+    # S^+ - S^T / n = (L^+ - I / n) S^T, a symmetric matrix times S^T
+    residual_s = _max_abs_times_incidence_t(l_pinv - np.eye(n) / n, g)
     residual_l = float(np.abs(l_pinv - lap / float(n * n)).max())
     return residual_s, residual_l
 

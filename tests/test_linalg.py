@@ -307,6 +307,28 @@ class TestCsvBytes:
         assert _written(tmp_path / "a.csv", a) == _savetxt_bytes(a)
         assert seen == unsafe_rows
 
+    def test_just_below_a_power_of_ten_stays_on_numpy(self, tmp_path, monkeypatch):
+        # the doubles below 10^p that print as 1.0000000000000000e+p: log10
+        # rounds each up to p, so its digits are taken again at p - 1
+        below = {}
+        for p in range(-270, 271):
+            exact = Fraction(10) ** p
+            x = float(exact)
+            if Fraction(x) >= exact:
+                x = math.nextafter(x, 0.0)
+            if "%.16e" % x == "1.0000000000000000e%+03d" % p:
+                below[p] = x
+        assert {below[-14], below[-70], below[98]} == {1e-14, 1e-70, 1e98}
+        assert all(np.floor(np.log10(x)) == p for p, x in below.items())
+
+        def refuse(row, line, index):
+            raise AssertionError(f"row {line} formatted by Python")
+
+        monkeypatch.setattr(linalg, "_python_row", refuse)
+        values = np.array(list(below.values()))
+        a = np.stack([values, -values, values * 3.0])
+        assert _written(tmp_path / "a.csv", a) == _savetxt_bytes(a)
+
     def test_inexact_product_near_a_tie_takes_python(self, tmp_path, monkeypatch):
         # 3 * 2^-24 = 1.78813934326171875e-07: an exact tie, but 10^23 is not a
         # double, so the product is inexact and Python settles the rounding

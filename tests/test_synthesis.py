@@ -3,10 +3,10 @@ and the circulant degree comparison."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lapsig import graphs
+from lapsig import graphs, synthesis
 from lapsig.analysis import cosparsity, nullspace_basis, randomized_uniqueness_check
 from lapsig.analysis import sampling_matrix, zero_sum_basis
 from lapsig.circulant import cycle_pinv, perturbation_factor
@@ -22,8 +22,10 @@ from lapsig.graphs import (
     laplacian,
     random_connected_graph,
 )
-from lapsig.linalg import pseudoinverse
+from lapsig.linalg import ZERO_FLOOR, pseudoinverse
 from lapsig.synthesis import (
+    KNOT_TOL,
+    PiecewiseProfile,
     absorb_discontinuity,
     complete_graph_identities,
     cyclic_difference,
@@ -133,6 +135,27 @@ class TestEdgeKnotResidual:
             scale = max(1.0, np.abs(incidence(g)).max())
             assert edge_knot_residual(g) < 1e-9 * scale
 
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(2, 30),
+        density=st.floats(0.0, 1.0),
+        weights=st.sampled_from(["uniform", "integer"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_gather_matches_dense_products(self, n, density, weights, seed):
+        rng = np.random.default_rng(seed)
+        g = random_connected_graph(n, rng, extra_edge_prob=density, weights=weights)
+        lap = laplacian(g)
+        st_mat = incidence(g).T
+        root_max = max(1.0, float(np.sqrt(max(w for *_, w in g.edges))))
+        dense = float(np.abs(lap @ (pseudoinverse(lap) @ st_mat) - st_mat).max())
+        assert abs(edge_knot_residual(g) - dense) <= 1e-12 * root_max
+        # the residual itself is rounding noise; on a random A the weights show
+        a = rng.standard_normal((3, n))
+        dense_a = float(np.abs(a @ st_mat).max())
+        gathered = synthesis._max_abs_times_incidence_t(a.T.copy(), g)
+        assert abs(gathered - dense_a) <= 1e-12 * root_max * max(1.0, dense_a)
+
 
 class TestTwoHopKnots:
     def test_eight_cycle_atom(self):
@@ -228,6 +251,105 @@ class TestPiecewiseProfile:
             piecewise_degree_profile(np.zeros(8), 3)
 
 
+def _reference_profile(x, order: int) -> PiecewiseProfile:
+    """The index-at-a-time profile: a while loop walks each run between
+    knots, and each run's values are gathered by an index list."""
+    vec = np.asarray(x, dtype=float)
+    n = vec.size
+    out = cyclic_difference(vec, order)
+    dev = np.abs(out - np.median(out))
+    scale = float(dev.max())
+    if scale <= ZERO_FLOOR:
+        knots = ()
+    else:
+        knots = tuple(int(i) for i in np.flatnonzero(dev > KNOT_TOL * scale))
+    if not knots:
+        segments = (tuple(range(n)),)
+    else:
+        runs = []
+        for t, k in enumerate(knots):
+            nxt = knots[(t + 1) % len(knots)]
+            run = []
+            i = (k + 1) % n
+            while i != nxt:
+                run.append(i)
+                i = (i + 1) % n
+            runs.append(tuple(run))
+        segments = tuple(runs)
+
+    def degree(vals):
+        m = vals.size
+        if m <= 1:
+            return 0
+        scale = max(float(np.abs(vals).max()), 1.0)
+        for p in range(0, m - 1):
+            if float(np.abs(np.diff(vals, p + 1)).max()) <= KNOT_TOL * scale:
+                return p
+        return m - 1
+
+    degrees = tuple(degree(vec[list(run)]) if run else None for run in segments)
+    return PiecewiseProfile(knots, segments, degrees, order)
+
+
+@st.composite
+def _cyclic_signals(draw):
+    """Integer pieces on a cyclic grid: a constant or a ramp (knots where it
+    wraps) plus spikes, which may touch each other or sit at 0 and n - 1."""
+    n = draw(st.integers(1, 40))
+    x = np.full(n, float(draw(st.integers(-3, 3))))
+    x += draw(st.integers(-2, 2)) * np.arange(n) + draw(st.integers(-1, 1)) * np.arange(n) ** 2
+    for pos in draw(st.lists(st.integers(0, n - 1), max_size=6)):
+        x[pos] += draw(st.integers(-9, 9))
+    if draw(st.booleans()):
+        x += draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n))
+    return x
+
+
+_ORDERS = st.sampled_from([1, 2, 4])
+_SHAPED = {
+    "no_knots": np.full(9, 2.0),
+    "wrapping_run": np.where(np.arange(12) == 5, 4.0, 0.0),
+    "adjacent_knots": np.array([0.0, 0.0, 0.0, 0.0, 3.0, -1.0, 2.0, 0.0, 0.0, 0.0, 0.0, 0.0]),
+}
+
+
+class TestProfileAgainstReference:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(x=_cyclic_signals(), order=_ORDERS)
+    @example(x=_SHAPED["no_knots"], order=2)
+    @example(x=_SHAPED["wrapping_run"], order=1)
+    @example(x=_SHAPED["adjacent_knots"], order=4)
+    def test_matches_the_while_loop(self, x, order):
+        assert piecewise_degree_profile(x, order) == _reference_profile(x, order)
+
+    @pytest.mark.parametrize("order", [1, 2, 4])
+    def test_shaped_cases_cover_what_they_name(self, order):
+        none = _reference_profile(_SHAPED["no_knots"], order)
+        assert none.knots == () and none == piecewise_degree_profile(_SHAPED["no_knots"], order)
+        wrap = _reference_profile(_SHAPED["wrapping_run"], order)
+        assert any(run and run[0] > run[-1] for run in wrap.segments)
+        assert wrap == piecewise_degree_profile(_SHAPED["wrapping_run"], order)
+        adjacent = _reference_profile(_SHAPED["adjacent_knots"], order)
+        assert () in adjacent.segments
+        assert adjacent == piecewise_degree_profile(_SHAPED["adjacent_knots"], order)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        columns=st.integers(1, 6).flatmap(
+            lambda n: st.lists(
+                st.lists(st.integers(-5, 5).map(float), min_size=n, max_size=n),
+                min_size=1, max_size=5,
+            )
+        ),
+        order=_ORDERS,
+    )
+    def test_matrix_profiles_equal_column_calls(self, columns, order):
+        mat = np.array(columns).T
+        assert synthesis._profiles(mat, order) == [
+            piecewise_degree_profile(col, order) for col in mat.T
+        ]
+
+
 class TestModelDegreeReport:
     def test_pure_cycle_degrees(self):
         report = model_degree_report(
@@ -255,6 +377,14 @@ class TestModelDegreeReport:
         )
         assert report.passed
 
+    def test_atom_blocks_do_not_change_the_report(self, monkeypatch):
+        spec = CirculantSpec(32, ((1, 1.0), (2, 1.0), (5, 2.0)))
+        cos = Cosupport.from_support(32, (4, 20))
+        whole = model_degree_report(spec, cos)
+        assert whole.passed
+        monkeypatch.setattr(synthesis, "_PROFILE_BLOCK", 5)  # 32 = 6 * 5 + 2
+        assert model_degree_report(spec, cos) == whole
+
 
 class TestCirculantPath:
     def test_degree_report_and_absorption_skip_the_eigensolve(self, monkeypatch):
@@ -275,6 +405,31 @@ class TestCirculantPath:
         spec = CirculantSpec(32, ((1, 1.0), (2, 1.0)))
         assert model_degree_report(spec, Cosupport.from_support(32, (4, 20))).passed
         assert absorb_discontinuity(spec, 0, 2, 9)[2].passed
+
+    def test_degree_report_takes_no_dense_inverse(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense inverse of the factor P")
+
+        monkeypatch.setattr(np.linalg, "inv", refuse)
+        spec = CirculantSpec(32, ((1, 1.0), (2, 1.0)))
+        assert model_degree_report(spec, Cosupport.from_support(32, (4, 20))).passed
+
+
+class TestEdgeGather:
+    def test_knot_identities_never_build_the_incidence(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense incidence matrix")
+
+        monkeypatch.setattr(graphs, "incidence", refuse)
+        monkeypatch.setattr(synthesis, "incidence", refuse, raising=False)
+        g = compile_circulant(CirculantSpec(64, ((1, 1.0), (2, 3.0), (3, 2.0))))
+        assert edge_knot_residual(g) < 1e-9
+        res_s, res_l = complete_graph_identities(10)
+        assert res_s < 1e-11
+        assert res_l < 1e-11
+
+    def test_no_edges(self):
+        assert edge_knot_residual(Graph(1, ())) == 0.0
 
 
 # Connected by BFS, but the 1e-300 edge sits below the eigensolve's zero cutoff.
