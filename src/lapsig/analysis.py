@@ -75,11 +75,10 @@ class NullspaceBasis:
     """
 
     cosupport: Cosupport
-    constant_part: np.ndarray
     smooth_part: np.ndarray
 
     def matrix(self) -> np.ndarray:
-        return np.column_stack([self.constant_part, self.smooth_part])
+        return np.column_stack([np.ones(self.cosupport.n), self.smooth_part])
 
     @property
     def dim(self) -> int:
@@ -111,10 +110,14 @@ def nullspace_basis(g: Graph | CirculantSpec, cosupport: Cosupport) -> Nullspace
 
 
 def _basis_from_pinv(l_pinv: np.ndarray, cosupport: Cosupport) -> NullspaceBasis:
-    """The closed-form basis from the L^+ of a connected graph."""
+    """The closed-form basis from the L^+ of a connected graph.
+
+    ``np.take`` gathers the complement columns C-contiguous; ``l_pinv[:, comp]``
+    would not, and BLAS can round the product differently in the last bit.
+    """
     comp = cosupport.complement
-    smooth = l_pinv @ sampling_matrix(comp, cosupport.n).T @ zero_sum_basis(len(comp))
-    return NullspaceBasis(cosupport, np.ones(cosupport.n), smooth)
+    smooth = np.take(l_pinv, comp, axis=1) @ zero_sum_basis(len(comp))
+    return NullspaceBasis(cosupport, smooth)
 
 
 def cosparsity(g: Graph | CirculantSpec, x, tol: float = 1e-9) -> tuple[int, Cosupport]:
@@ -124,7 +127,6 @@ def cosparsity(g: Graph | CirculantSpec, x, tol: float = 1e-9) -> tuple[int, Cos
     finite and >= 0.  Once ||Lx||_inf itself drops to the 1e-12 floor every
     vertex counts as annihilated.
     """
-    _require_tolerance(tol)
     vec = _require_finite(x, "signal")
     if vec.shape != (g.n,):
         raise ValueError(f"signal shape {vec.shape} does not match n={g.n}")

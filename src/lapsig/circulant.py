@@ -15,10 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import CirculantSpec, Graph, _circulant, _laplacian_row, compile_circulant
+from .graphs import CirculantSpec, Graph, _circulant, _laplacian_row
 from .graphs import connected_components, laplacian
 from .linalg import ZERO_FLOOR, _laplacian_pinv, _require_nullity, _zero_cutoff
-from .linalg import pseudoinverse
 
 __all__ = [
     "RepresenterPolynomial",
@@ -88,13 +87,9 @@ class RepresenterPolynomial:
         return _circulant(self.first_row())
 
     def eigenvalues(self) -> np.ndarray:
-        """Values at the n-th roots of unity, ordered by frequency k = 0..n-1."""
-        k = np.arange(self.n)
-        lam = np.full(self.n, self.coeffs[0])
-        for i, c in enumerate(self.coeffs[1:], start=1):
-            mult = 1.0 if 2 * i == self.n else 2.0
-            lam = lam + mult * c * np.cos(2.0 * np.pi * i * k / self.n)
-        return lam
+        """Values at the n-th roots of unity, ordered by frequency k = 0..n-1:
+        the DFT of the first row, as ``laplacian_pinv`` takes them."""
+        return np.fft.fft(self.first_row()).real
 
     @classmethod
     def from_first_row(cls, row) -> "RepresenterPolynomial":
@@ -128,15 +123,19 @@ def laplacian_representer(spec: CirculantSpec) -> RepresenterPolynomial:
     Restricted to bandwidth M < n/2 so every hop contributes two symmetric
     band slots; specs touching the wrap hop n/2 are rejected.
     """
-    if 2 * spec.bandwidth >= spec.n:
-        raise ValueError(
-            f"bandwidth {spec.bandwidth} must stay below n/2 for n={spec.n}"
-        )
+    _require_strict_band(spec)
     co = np.zeros(spec.bandwidth + 1)
     co[0] = 2.0 * sum(d for _, d in spec.generators)
     for s, d in spec.generators:
         co[s] = -d
     return RepresenterPolynomial(spec.n, tuple(co))
+
+
+def _require_strict_band(spec: CirculantSpec) -> None:
+    if 2 * spec.bandwidth >= spec.n:
+        raise ValueError(
+            f"bandwidth {spec.bandwidth} must stay below n/2 for n={spec.n}"
+        )
 
 
 def laplacian_pinv(g: Graph | CirculantSpec) -> np.ndarray:
@@ -202,10 +201,7 @@ def perturbation_factor(spec: CirculantSpec) -> RepresenterPolynomial:
     """
     if 1 not in spec.hops:
         raise ValueError("cycle factorisation requires hop 1 in the generating set")
-    if 2 * spec.bandwidth >= spec.n:
-        raise ValueError(
-            f"bandwidth {spec.bandwidth} must stay below n/2 for n={spec.n}"
-        )
+    _require_strict_band(spec)
     m = spec.bandwidth
     d = [0.0] * (m + 1)
     for s, wt in spec.generators:
@@ -219,8 +215,9 @@ def perturbation_factor(spec: CirculantSpec) -> RepresenterPolynomial:
 def transform_inverse(poly: RepresenterPolynomial) -> np.ndarray:
     """Inverse of an invertible symmetric circulant via its spectrum.
 
-    Cross-check path for the dense inverse: the first row is the inverse
-    DFT of the reciprocal eigenvalues.
+    The first row is the inverse DFT of the reciprocal eigenvalues, with no
+    dense inverse; ``model_degree_report`` takes P^{-1} this way, and the
+    dense ``inv`` of ``pinv_factorization`` is its cross-check.
     """
     lam = poly.eigenvalues()
     if float(np.abs(lam).min()) <= ZERO_FLOOR:
@@ -228,19 +225,14 @@ def transform_inverse(poly: RepresenterPolynomial) -> np.ndarray:
     return _circulant(_inverse_row(1.0 / lam))
 
 
-def pinv_factorization(
-    spec: CirculantSpec, l_pinv: np.ndarray | None = None
-) -> tuple[np.ndarray, float]:
+def pinv_factorization(spec: CirculantSpec, l_pinv: np.ndarray) -> tuple[np.ndarray, float]:
     """Split the Laplacian pseudoinverse as P^{-1} @ (cycle pseudoinverse).
 
     Returns the densely inverted factor P^{-1} together with the max-norm
-    residual against the eigendecomposition pseudoinverse of the graph
-    Laplacian (which the split must reproduce).
+    residual against ``l_pinv``, the graph Laplacian's pseudoinverse (which
+    the split must reproduce).
     """
-    factor = perturbation_factor(spec)
-    p_inv = np.linalg.inv(factor.to_matrix())
-    if l_pinv is None:
-        l_pinv = pseudoinverse(laplacian(compile_circulant(spec)))
+    p_inv = np.linalg.inv(perturbation_factor(spec).to_matrix())
     residual = float(np.abs(p_inv @ cycle_pinv(spec.n) - l_pinv).max())
     return p_inv, residual
 

@@ -67,7 +67,8 @@ class _Checks:
     ``check(ok, message)`` counts one check and keeps the first failing
     message as ``details["first_failure"]``.  Each condition is written as
     the passing test, so a NaN residual fails.  A suite that ran no check
-    fails too: it has shown nothing.
+    fails too: it has shown nothing.  ``bound`` checks a residual against its
+    limit and keeps the worst one seen in the details.
     """
 
     def __init__(self, name: str, details: dict):
@@ -79,6 +80,11 @@ class _Checks:
         if not ok:
             self.passed = False
             self.details.setdefault("first_failure", message)
+
+    def bound(self, key: str, value: float, limit: float, message: str) -> None:
+        """Check ``value <= limit`` and keep ``_worst`` of the values in details[key]."""
+        self.details[key] = _worst(self.details.get(key, 0.0), value)
+        self(value <= limit, message)
 
     def result(self) -> SuiteResult:
         if not self.count:
@@ -93,8 +99,6 @@ def mpp_axiom_suite(seed: int = 42, graph_count: int = 50) -> SuiteResult:
     details: dict = {"graphs": graph_count, "axiom_rtol": AXIOM_RTOL,
                      "projection_tol": PROJECTION_TOL}
     check = _Checks("mpp_axioms", details)
-    worst_axiom = 0.0
-    worst_proj = 0.0
     for _ in range(graph_count):
         n = int(rng.integers(3, MPP_MAX_N + 1))
         g = graphs.random_connected_graph(n, rng)
@@ -103,13 +107,11 @@ def mpp_axiom_suite(seed: int = 42, graph_count: int = 50) -> SuiteResult:
         scale = max(1.0, float(np.abs(lap).max()))
         axioms = linalg.mpp_axiom_residuals(lap, l_pinv)
         rel = _worst(*axioms.values()) / scale
-        worst_axiom = _worst(worst_axiom, rel)
+        check.bound("max_axiom_residual_rel", rel, AXIOM_RTOL,
+                    f"penrose axiom residual {rel:.3e} on n={n}")
         proj = float(np.abs(lap @ l_pinv - (np.eye(n) - np.ones((n, n)) / n)).max())
-        worst_proj = _worst(worst_proj, proj)
-        check(rel <= AXIOM_RTOL, f"penrose axiom residual {rel:.3e} on n={n}")
-        check(proj <= PROJECTION_TOL, f"projection residual {proj:.3e} on n={n}")
-    details["max_axiom_residual_rel"] = worst_axiom
-    details["max_projection_residual"] = worst_proj
+        check.bound("max_projection_residual", proj, PROJECTION_TOL,
+                    f"projection residual {proj:.3e} on n={n}")
     return check.result()
 
 
@@ -148,10 +150,6 @@ def factorization_suite(seed: int = 42, trials: int = 100) -> SuiteResult:
         "spectral_pinv_rtol": SPECTRAL_PINV_RTOL,
     }
     check = _Checks("cycle_factorization", details)
-    worst_product = 0.0
-    worst_pinv = 0.0
-    worst_agreement = 0.0
-    worst_spectral = 0.0
     kinds = ("integer", "unit", "uniform")
     for t in range(trials):
         kind = kinds[t % len(kinds)]
@@ -161,7 +159,7 @@ def factorization_suite(seed: int = 42, trials: int = 100) -> SuiteResult:
         p_mat = factor.to_matrix()
         lap = graphs.laplacian(graphs.compile_circulant(spec))
         product_gap = float(np.abs(p_mat @ circulant.cycle_laplacian(n) - lap).max())
-        worst_product = _worst(worst_product, product_gap)
+        details["max_product_gap"] = _worst(details.get("max_product_gap", 0.0), product_gap)
         exact = kind in ("integer", "unit")
         check(product_gap == 0.0 if exact else product_gap < PRODUCT_TOL,
               f"factor product gap {product_gap:.3e} (n={n}, {kind})")
@@ -174,22 +172,17 @@ def factorization_suite(seed: int = 42, trials: int = 100) -> SuiteResult:
         l_pinv = linalg.pseudoinverse(lap)
         p_inv, residual = circulant.pinv_factorization(spec, l_pinv=l_pinv)
         allow = circulant.pinv_residual_allowance(l_pinv)
-        worst_pinv = _worst(worst_pinv, residual / allow)
-        check(residual <= allow, f"pinv split residual {residual:.3e} (n={n})")
+        check.bound("max_pinv_residual_vs_allowance", residual / allow, 1.0,
+                    f"pinv split residual {residual:.3e} (n={n})")
         spectral_gap = float(np.abs(circulant.laplacian_pinv(spec) - l_pinv).max())
         spectral_rel = spectral_gap / max(1.0, float(np.abs(l_pinv).max()))
-        worst_spectral = _worst(worst_spectral, spectral_rel)
-        check(spectral_rel <= SPECTRAL_PINV_RTOL,
-              f"DFT vs eigensolve L^+ gap {spectral_rel:.3e} (n={n})")
+        check.bound("max_spectral_pinv_gap_rel", spectral_rel, SPECTRAL_PINV_RTOL,
+                    f"DFT vs eigensolve L^+ gap {spectral_rel:.3e} (n={n})")
         via_transform = circulant.transform_inverse(factor)
         agree = float(np.abs(p_inv - via_transform).max())
         allow_inv = INVERSE_RTOL * max(1.0, float(np.abs(p_inv).max()))
-        worst_agreement = _worst(worst_agreement, agree / allow_inv)
-        check(agree <= allow_inv, f"dense vs transform inverse gap {agree:.3e} (n={n})")
-    details["max_product_gap"] = worst_product
-    details["max_pinv_residual_vs_allowance"] = worst_pinv
-    details["max_inverse_gap_vs_allowance"] = worst_agreement
-    details["max_spectral_pinv_gap_rel"] = worst_spectral
+        check.bound("max_inverse_gap_vs_allowance", agree / allow_inv, 1.0,
+                    f"dense vs transform inverse gap {agree:.3e} (n={n})")
     return check.result()
 
 
@@ -197,7 +190,6 @@ def cycle_pinv_suite(n_max: int = 128) -> SuiteResult:
     """Closed-form cycle pseudoinverse against the dense eigensolve, n = 3..n_max."""
     details: dict = {"n_range": [3, n_max], "tol": CYCLE_PINV_TOL}
     check = _Checks("cycle_pinv_closed_form", details)
-    worst = 0.0
     for n in range(3, n_max + 1):
         gap = float(
             np.abs(
@@ -205,9 +197,7 @@ def cycle_pinv_suite(n_max: int = 128) -> SuiteResult:
                 - linalg.pseudoinverse(circulant.cycle_laplacian(n))
             ).max()
         )
-        worst = _worst(worst, gap)
-        check(gap <= CYCLE_PINV_TOL, f"closed form off by {gap:.3e} at n={n}")
-    details["max_gap"] = worst
+        check.bound("max_gap", gap, CYCLE_PINV_TOL, f"closed form off by {gap:.3e} at n={n}")
     return check.result()
 
 
@@ -316,12 +306,10 @@ def complete_graph_suite() -> SuiteResult:
     """Closed-form pseudoinverse identities on complete graphs."""
     details: dict = {"n_range": [2, COMPLETE_GRAPH_MAX_N], "tol": COMPLETE_GRAPH_TOL}
     check = _Checks("complete_graph_identities", details)
-    worst = 0.0
     for n in range(2, COMPLETE_GRAPH_MAX_N + 1):
         residual = _worst(*synthesis.complete_graph_identities(n))
-        worst = _worst(worst, residual)
-        check(residual <= COMPLETE_GRAPH_TOL, f"complete-graph residual {residual:.3e} at n={n}")
-    details["max_residual"] = worst
+        check.bound("max_residual", residual, COMPLETE_GRAPH_TOL,
+                    f"complete-graph residual {residual:.3e} at n={n}")
     return check.result()
 
 

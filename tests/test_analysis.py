@@ -4,7 +4,10 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lapsig import analysis
 from lapsig.analysis import (
     cosparsity,
     max_cosparse_dim_bruteforce,
@@ -15,7 +18,7 @@ from lapsig.analysis import (
     uniqueness_bound,
     zero_sum_basis,
 )
-from lapsig.circulant import cycle_pinv
+from lapsig.circulant import cycle_pinv, laplacian_pinv
 from lapsig.graphs import (
     CirculantSpec,
     Cosupport,
@@ -24,9 +27,25 @@ from lapsig.graphs import (
     complete_graph,
     cycle_graph,
     laplacian,
+    random_circulant_spec,
     random_connected_graph,
 )
 from lapsig.linalg import column_space_equal, nullspace_oracle, pseudoinverse, rank
+from lapsig.synthesis import model_degree_report
+
+
+@st.composite
+def _connected_inputs(draw, n_max=260):
+    """A connected Graph or CirculantSpec, with any weight kind, and a cosupport
+    whose complement holds 1 to 40 vertices (from about 17 on, the layout of
+    the gathered columns can change how BLAS rounds the basis product)."""
+    n = draw(st.integers(3, n_max))
+    size = draw(st.integers(1, min(n, 40)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(("unit", "integer", "uniform")))
+    make = draw(st.sampled_from((random_connected_graph, random_circulant_spec)))
+    g = make(n, rng, weights=kind)
+    return g, Cosupport.from_support(n, rng.choice(n, size=size, replace=False))
 
 
 class TestZeroSumBasis:
@@ -116,6 +135,26 @@ class TestNullspaceBasis:
             members = tuple(sorted(rng.choice(n, size=size, replace=False).tolist()))
             sampled = sampling_matrix(members, n) @ laplacian(g)
             assert rank(sampled) == size
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(_connected_inputs())
+    def test_smooth_part_is_the_selection_product_bit_for_bit(self, case):
+        g, cos = case
+        comp = cos.complement
+        expected = (laplacian_pinv(g) @ sampling_matrix(comp, g.n).T
+                    @ zero_sum_basis(len(comp)))
+        np.testing.assert_array_equal(nullspace_basis(g, cos).smooth_part, expected)
+
+    def test_no_selection_matrix_is_built(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("n x m selection matrix")
+
+        monkeypatch.setattr(analysis, "sampling_matrix", refuse)
+        spec = CirculantSpec(32, ((1, 1.0), (2, 1.0)))
+        cos = Cosupport.from_support(32, (4, 20))
+        assert nullspace_basis(spec, cos).dim == 2
+        assert randomized_uniqueness_check(cycle_graph(6), 4, 4, trials=5).passed
+        assert model_degree_report(spec, cos).passed
 
     def test_rejects_disconnected(self):
         g = Graph(4, ((0, 1, 1.0), (2, 3, 1.0)))
