@@ -228,7 +228,7 @@ def spark_bruteforce(a) -> int:
     n - 1 of them are independent.  ``verify`` checks this on every small
     connected circulant.
     """
-    arr = np.atleast_2d(np.asarray(a, dtype=float))
+    arr = np.atleast_2d(_require_finite(a))
     ncols = arr.shape[1]
     for size in range(1, ncols + 1):
         for subset in itertools.combinations(range(ncols), size):

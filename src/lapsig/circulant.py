@@ -17,7 +17,7 @@ import numpy as np
 
 from .graphs import CirculantSpec, Graph, _circulant, _laplacian_row
 from .graphs import connected_components, laplacian
-from .linalg import ZERO_FLOOR, _laplacian_pinv, _require_nullity, _zero_cutoff
+from .linalg import ZERO_FLOOR, _laplacian_pinv, _require_finite, _require_nullity, _zero_cutoff
 
 __all__ = [
     "RepresenterPolynomial",
@@ -117,18 +117,14 @@ def cycle_laplacian(n: int) -> np.ndarray:
 
 
 def laplacian_representer(spec: CirculantSpec) -> RepresenterPolynomial:
-    """Representer coefficients of a circulant-graph Laplacian.
+    """Representer coefficients of a circulant-graph Laplacian: the head of its first row.
 
     Constant term 2 * sum of weights (the common degree); hop s carries -d_s.
     Restricted to bandwidth M < n/2 so every hop contributes two symmetric
     band slots; specs touching the wrap hop n/2 are rejected.
     """
     _require_strict_band(spec)
-    co = np.zeros(spec.bandwidth + 1)
-    co[0] = 2.0 * sum(d for _, d in spec.generators)
-    for s, d in spec.generators:
-        co[s] = -d
-    return RepresenterPolynomial(spec.n, tuple(co))
+    return RepresenterPolynomial(spec.n, tuple(_laplacian_row(spec)[: spec.bandwidth + 1]))
 
 
 def _require_strict_band(spec: CirculantSpec) -> None:
@@ -212,17 +208,22 @@ def perturbation_factor(spec: CirculantSpec) -> RepresenterPolynomial:
     return RepresenterPolynomial(spec.n, tuple(coeffs))
 
 
+def _invertible_spectrum(poly: RepresenterPolynomial) -> np.ndarray:
+    """The eigenvalues of a symmetric circulant, refused when one is (near-)zero."""
+    lam = poly.eigenvalues()
+    if float(np.abs(lam).min()) <= ZERO_FLOOR:
+        raise ValueError("representer has a (near-)zero eigenvalue; not invertible")
+    return lam
+
+
 def transform_inverse(poly: RepresenterPolynomial) -> np.ndarray:
     """Inverse of an invertible symmetric circulant via its spectrum.
 
     The first row is the inverse DFT of the reciprocal eigenvalues, with no
-    dense inverse; ``model_degree_report`` takes P^{-1} this way, and the
-    dense ``inv`` of ``pinv_factorization`` is its cross-check.
+    dense inverse; the dense ``inv`` of ``pinv_factorization`` is its
+    cross-check.
     """
-    lam = poly.eigenvalues()
-    if float(np.abs(lam).min()) <= ZERO_FLOOR:
-        raise ValueError("representer has a (near-)zero eigenvalue; not invertible")
-    return _circulant(_inverse_row(1.0 / lam))
+    return _circulant(_inverse_row(1.0 / _invertible_spectrum(poly)))
 
 
 def pinv_factorization(spec: CirculantSpec, l_pinv: np.ndarray) -> tuple[np.ndarray, float]:
@@ -257,7 +258,7 @@ class DecayProfile:
 
 def decay_profile(mat) -> DecayProfile:
     """Profile |entries| of a circulant matrix by cyclic distance from the diagonal."""
-    arr = np.asarray(mat, dtype=float)
+    arr = _require_finite(mat)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError("expected a square matrix")
     n = arr.shape[0]

@@ -33,7 +33,7 @@ from .graphs import (
     laplacian,
     parse_edge_list,
 )
-from .linalg import _write_csv, eig_symmetric, mpp_axiom_residuals, rank, save_matrix_csv
+from .linalg import _csv_blocks, eig_symmetric, mpp_axiom_residuals, rank, save_matrix_csv
 from .svgplot import line_plot_svg
 from .synthesis import structured_sparsity_check, synthesize
 from .verification import run_all
@@ -92,7 +92,8 @@ def _write_json(path: Path, obj) -> None:
 
 def _write_indexed_csv(path: Path, *columns) -> None:
     """One line per vertex: its index, then each column's value there."""
-    _write_csv(path, np.column_stack(columns), index=True)
+    lines = b"".join(_csv_blocks(np.column_stack(columns))).split(b"\n")[:-1]
+    path.write_bytes(b"".join(b"%d,%s\n" % (i, line) for i, line in enumerate(lines)))
 
 
 # ----------------------------------------------------------------------

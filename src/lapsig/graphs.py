@@ -282,13 +282,28 @@ def hop_distances(g: Graph) -> np.ndarray:
     return dist
 
 
+def _within_hops(lap: np.ndarray, k: int) -> np.ndarray:
+    """Boolean n x n mask of the vertex pairs at most k >= 1 hops apart.
+
+    The pattern of (I + A)^k, taken one hop at a time: each product of 0/1
+    patterns holds counts no larger than n, so the float test is exact.
+    """
+    step = (lap != 0.0).astype(float)
+    np.fill_diagonal(step, 1.0)
+    reach = step
+    for _ in range(k - 1):
+        reach = reach @ step
+        np.minimum(reach, 1.0, out=reach)
+    return reach > 0.0
+
+
 def khop_localization_check(g: Graph, k: int) -> bool:
     """Whether L^k vanishes at every pair further than k hops apart."""
     if k < 1:
         raise ValueError("hop order k must be >= 1")
-    lk = np.linalg.matrix_power(laplacian(g), k)
-    dist = hop_distances(g)
-    far = (dist > k) | (dist < 0)
+    lap = laplacian(g)
+    lk = np.linalg.matrix_power(lap, k)
+    far = ~_within_hops(lap, k)
     if not far.any():
         return True
     scale = max(float(np.abs(lk).max()), 1.0)

@@ -211,7 +211,9 @@ def save_matrix_csv(path, a) -> None:
 
     The bytes are those of ``np.savetxt(path, a, fmt="%.16e", delimiter=",")``.
     """
-    _write_csv(path, np.atleast_2d(_require_finite(a)))
+    arr = np.atleast_2d(_require_finite(a))
+    with open(path, "wb") as fh:
+        fh.writelines(_csv_blocks(arr))
 
 
 # ----------------------------------------------------------------------
@@ -236,9 +238,7 @@ _CHUNK_CELLS = 32768  # cells formatted per block; bounds the temporaries
 _SAFE_MIN, _SAFE_MAX = 1e-270, 1e270  # no over- or underflow in the product
 _K_MIN, _K_MAX = -272, 272  # decimal exponents the tables cover
 _NEAR = 1e-6  # distance from a tie that sends an inexact product to Python
-_INDEX_LIMIT = 10**8  # a line index of at most 8 digits takes the numpy path
 _CELL_WORDS = 7  # pad, sign, d, ".", 16 digits, e, sign, 2-3 digits, ",", pads
-_INDEX_WORDS = 3  # 8 digits of the line number, ",", pads
 
 
 @functools.cache
@@ -331,7 +331,7 @@ def _digits(x: np.ndarray):
     return digits, k, unsafe
 
 
-def _format_block(block: np.ndarray, first: int, index: bool):
+def _format_block(block: np.ndarray):
     """Cell bytes of a row block, 0 where a byte is padding, and the mask of
     rows that Python must format."""
     rows, cols = block.shape
@@ -367,44 +367,29 @@ def _format_block(block: np.ndarray, first: int, index: bool):
     end[end == ord(",")] = ord("\n")
     bad = np.zeros(rows, dtype=bool)
     bad[nonzero[unsafe] // cols] = True
-    if index:
-        line = np.arange(first, first + rows)
-        bad |= line >= _INDEX_LIMIT
-        line %= _INDEX_LIMIT
-        prefix = np.empty((rows, _INDEX_WORDS), dtype=np.uint32)
-        prefix[:, 0] = t["digits"][line // 10**4]
-        prefix[:, 1] = t["digits"][line % 10**4]
-        prefix[:, 2] = np.frombuffer(b",\0\0\0", dtype=np.uint32)[0]
-        head = prefix.view(np.uint8)[:, :7]
-        head[np.cumprod(head == ord("0"), axis=1, dtype=bool)] = 0
-        words = np.concatenate([prefix, words], axis=1)
     return words.view(np.uint8), bad
 
 
-def _python_row(row: np.ndarray, line: int, index: bool) -> bytes:
-    head = f"{line:d}," if index else ""
-    return (head + ",".join("%.16e" % v for v in row.tolist()) + "\n").encode()
+def _python_row(row: np.ndarray) -> bytes:
+    return (",".join("%.16e" % v for v in row.tolist()) + "\n").encode()
 
 
-def _write_csv(path, arr: np.ndarray, index: bool = False) -> None:
-    """Write a 2-D float array as "%.16e" cells joined by "," (each line led
-    by its row number and "," when ``index``), one line per row, in blocks of
-    about _CHUNK_CELLS cells."""
+def _csv_blocks(arr: np.ndarray):
+    """The CSV text of a 2-D float array, "%.16e" cells joined by ",", one
+    line per row, as bytes-like blocks of about _CHUNK_CELLS cells."""
     arr = np.asarray(arr, dtype=float)
     rows, cols = arr.shape
-    with open(path, "wb") as fh:
-        if cols == 0:
-            fh.write(b"\n" * rows)
-            return
-        step = max(1, _CHUNK_CELLS // cols)
-        for first in range(0, rows, step):
-            block = arr[first : first + step]
-            text, bad = _format_block(block, first, index)
-            start = 0
-            for r in [*np.flatnonzero(bad), len(block)]:
-                part = text[start:r]
-                fh.write(part[part != 0])
-                if r < len(block):
-                    fh.write(_python_row(block[r], first + r, index))
-                start = r + 1
-
+    if cols == 0:
+        yield b"\n" * rows
+        return
+    step = max(1, _CHUNK_CELLS // cols)
+    for first in range(0, rows, step):
+        block = arr[first : first + step]
+        text, bad = _format_block(block)
+        start = 0
+        for r in [*np.flatnonzero(bad), len(block)]:
+            part = text[start:r]
+            yield part[part != 0]
+            if r < len(block):
+                yield _python_row(block[r])
+            start = r + 1

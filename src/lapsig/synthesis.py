@@ -13,12 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circulant import cycle_laplacian, cycle_pinv, laplacian_pinv, perturbation_factor
-from .circulant import pinv_residual_allowance, transform_inverse
+from .circulant import _cycle_pinv_value, _inverse_row, _invertible_spectrum, cycle_laplacian
+from .circulant import laplacian_pinv, perturbation_factor, pinv_residual_allowance
 from .graphs import (
     CirculantSpec,
     Cosupport,
     Graph,
+    _within_hops,
     complete_graph,
     connected_components,
     laplacian,
@@ -141,22 +142,10 @@ def two_hop_knot_check(g: Graph, j: int) -> tuple[float, bool | None]:
     prod -= lap
     residual = float(np.abs(prod, out=prod).max())
     del prod  # freed before the pattern test forms its two n x n arrays
-    if _diameter_at_most_two(lap):
+    if _within_hops(lap, 2).all():  # diameter at most 2
         return residual, None
     detected = _support(lap2 @ l_pinv[:, j])
     return residual, detected == tuple(np.flatnonzero(lap[:, j]).tolist())
-
-
-def _diameter_at_most_two(lap: np.ndarray) -> bool:
-    """Whether every vertex pair of a connected graph is at most two hops apart.
-
-    Pattern test on I + A: its square is positive everywhere iff the
-    diameter is at most 2.  The products are 0/1 counts no larger than n,
-    so the float test is exact.
-    """
-    pattern = (lap != 0.0).astype(float)
-    np.fill_diagonal(pattern, 1.0)
-    return bool((pattern @ pattern > 0.0).all())
 
 
 def _support(vec: np.ndarray) -> tuple[int, ...]:
@@ -170,7 +159,7 @@ def cyclic_difference(x, order: int) -> np.ndarray:
     output index (order 2 at i uses x[i-1], x[i], x[i+1])."""
     if order < 1:
         raise ValueError("difference order must be >= 1")
-    return _cyclic_difference(np.asarray(x, dtype=float), order)
+    return _cyclic_difference(_require_finite(x, "signal"), order)
 
 
 def _cyclic_difference(y: np.ndarray, order: int) -> np.ndarray:
@@ -215,7 +204,7 @@ def piecewise_degree_profile(x, annihilator_order: int = 2) -> PiecewiseProfile:
     spread across every vertex.  Segment degrees are fitted with plain
     one-sided differences inside each run between consecutive knots.
     """
-    return _profiles(np.asarray(x, dtype=float)[:, None], annihilator_order)[0]
+    return _profiles(_require_finite(x, "signal")[:, None], annihilator_order)[0]
 
 
 def _profiles(mat: np.ndarray, order: int) -> list[PiecewiseProfile]:
@@ -315,8 +304,8 @@ def model_degree_report(spec: CirculantSpec, cosupport: Cosupport) -> DegreeRepo
     quadratic with its knot at j; (c) the pseudoinverse factorisation
     residual stays within tolerance, so the perturbation is exactly the
     inverse factor.  The n atoms come from products of P with blocks of
-    columns of L^+, not n matrix-vector products, and P^{-1} for (c) from
-    the spectrum of P.
+    columns of L^+, not n matrix-vector products, and the factorisation
+    P^{-1} L_C^+ for (c) as one circulant row from the spectra of P and L_C^+.
     """
     factor = perturbation_factor(spec)
     p_mat = factor.to_matrix()
@@ -335,14 +324,15 @@ def model_degree_report(spec: CirculantSpec, cosupport: Cosupport) -> DegreeRepo
     synthesis_ok, synthesis_deg = _atom_degrees(p_mat, l_pinv)
     synthesis_ok &= synthesis_deg <= 2
 
-    split = transform_inverse(factor) @ cycle_pinv(spec.n)
-    split -= l_pinv
+    # every entry of a circulant sits in its first row
+    cycle_row = _cycle_pinv_value(spec.n, np.arange(spec.n))
+    split = _inverse_row(np.fft.fft(cycle_row).real / _invertible_spectrum(factor))
     return DegreeReport(
         analysis_max_degree=analysis_deg,
         analysis_ok=analysis_ok,
         synthesis_max_degree=synthesis_deg,
         synthesis_ok=synthesis_ok,
-        factorization_residual=float(np.abs(split).max()),
+        factorization_residual=float(np.abs(split - l_pinv[0]).max()),
         residual_tol=pinv_residual_allowance(l_pinv),
         perturbed_offknot_second_difference=perturbed_dev,
     )

@@ -94,7 +94,7 @@ class _Checks:
 
 
 def mpp_axiom_suite(seed: int = 42, graph_count: int = 50) -> SuiteResult:
-    """Penrose axioms plus the centring-projection identity on random graphs."""
+    """Penrose axioms, centring projection and two-hop L^2 localisation on random graphs."""
     rng = np.random.default_rng(seed)
     details: dict = {"graphs": graph_count, "axiom_rtol": AXIOM_RTOL,
                      "projection_tol": PROJECTION_TOL}
@@ -112,6 +112,7 @@ def mpp_axiom_suite(seed: int = 42, graph_count: int = 50) -> SuiteResult:
         proj = float(np.abs(lap @ l_pinv - (np.eye(n) - np.ones((n, n)) / n)).max())
         check.bound("max_projection_residual", proj, PROJECTION_TOL,
                     f"projection residual {proj:.3e} on n={n}")
+        check(graphs.khop_localization_check(g, 2), f"L^2 not zero beyond 2 hops on n={n}")
     return check.result()
 
 

@@ -24,7 +24,7 @@ from lapsig.circulant import (
 )
 from lapsig.analysis import nullspace_basis
 from lapsig.graphs import CirculantSpec, Cosupport, compile_circulant, connected_components
-from lapsig.graphs import laplacian, random_circulant_spec
+from lapsig.graphs import _laplacian_row, laplacian, random_circulant_spec
 from lapsig.linalg import column_space_equal, eig_symmetric, mpp_axiom_residuals, pseudoinverse
 from lapsig.synthesis import cyclic_difference
 from lapsig.verification import AXIOM_RTOL, SPECTRAL_PINV_RTOL
@@ -106,6 +106,14 @@ class TestLaplacianRepresenter:
     def test_rejects_wrap_hop(self):
         with pytest.raises(ValueError, match="bandwidth"):
             laplacian_representer(CirculantSpec(8, ((1, 1.0), (4, 1.0))))
+
+    @pytest.mark.parametrize("weights", ["unit", "integer"])
+    def test_first_row_is_the_laplacian_row(self, weights):
+        rng = np.random.default_rng(2)
+        for _ in range(40):
+            spec = random_circulant_spec(int(rng.integers(3, 80)), rng, weights=weights)
+            np.testing.assert_array_equal(laplacian_representer(spec).first_row(),
+                                          _laplacian_row(spec))
 
 
 class TestPolyMultiply:

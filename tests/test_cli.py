@@ -153,7 +153,7 @@ class TestVerify:
         checks = {s["name"]: s["checks"] for s in _read_json(out / "verify.json")["suites"]}
         assert len(checks) == 9 and all(count >= 1 for count in checks.values())
         assert checks["cycle_factorization"] == 6 * 4
-        assert checks["mpp_axioms"] == 2 * 4
+        assert checks["mpp_axioms"] == 3 * 4
         assert checks["uniqueness_randomized"] == 33
 
     @pytest.mark.parametrize("trials", ["-1", "0"])

@@ -25,6 +25,7 @@ from lapsig.graphs import (
     random_connected_graph,
     random_circulant_spec,
     _circulant,
+    _within_hops,
 )
 from lapsig.linalg import rank
 
@@ -224,6 +225,28 @@ class TestHopLocalization:
     def test_rejects_zero_order(self):
         with pytest.raises(ValueError):
             khop_localization_check(cycle_graph(4), 0)
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(1, 40),
+        density=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(["connected", "disconnected", "circulant"]),
+    )
+    def test_within_hops_matches_bfs(self, n, density, seed, kind):
+        # the all-pairs BFS is the oracle for the (I + A)^k pattern
+        rng = np.random.default_rng(seed)
+        if kind == "circulant" and n >= 2:
+            hops = [h for h in range(1, n // 2 + 1) if rng.random() < density] or [n // 2]
+            g = compile_circulant(CirculantSpec(n, tuple((h, 1.0) for h in hops)))
+        else:
+            g = random_connected_graph(n, rng, extra_edge_prob=density)
+            if kind == "disconnected":
+                g = Graph(n, tuple(e for e in g.edges if rng.random() < 0.7))
+        dist = hop_distances(g)
+        for k in range(1, 5):
+            np.testing.assert_array_equal(_within_hops(laplacian(g), k),
+                                          (dist >= 0) & (dist <= k))
 
 
 class TestCosupport:

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lapsig import graphs, synthesis
+from lapsig import circulant, graphs, synthesis
 from lapsig.analysis import cosparsity, nullspace_basis, randomized_uniqueness_check
-from lapsig.analysis import sampling_matrix, zero_sum_basis
-from lapsig.circulant import cycle_pinv, perturbation_factor
+from lapsig.analysis import sampling_matrix, spark_bruteforce, zero_sum_basis
+from lapsig.circulant import cycle_pinv, decay_profile, laplacian_pinv, perturbation_factor
+from lapsig.circulant import transform_inverse
 from lapsig.graphs import (
     CirculantSpec,
     Cosupport,
@@ -199,6 +200,38 @@ class TestTwoHopKnots:
         _, match = two_hop_knot_check(g, int(rng.integers(n)))
         assert (match is None) == (not (hop_distances(g) > 2).any())
 
+    def test_hop_reach_takes_no_bfs(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("all-pairs BFS")
+
+        monkeypatch.setattr(graphs, "hop_distances", refuse)
+        g = compile_circulant(CirculantSpec(16, ((1, 1.0), (3, 2.0))))
+        assert graphs.khop_localization_check(g, 2)
+        assert two_hop_knot_check(g, 5)[1] is True
+        assert two_hop_knot_check(complete_graph(5), 0)[1] is None
+
+
+def _with(values, index, bad):
+    arr = np.array(values, dtype=float)
+    arr[index] = bad
+    return arr
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: piecewise_degree_profile(_with(np.arange(16.0) ** 2, 5, np.nan)),
+        lambda: piecewise_degree_profile(_with(np.arange(16.0), 5, np.inf)),
+        lambda: cyclic_difference(_with(np.arange(8.0), 3, np.nan), 2),
+        lambda: decay_profile(_with(cycle_pinv(8), (2, 5), np.nan)),
+        lambda: spark_bruteforce(_with(cycle_pinv(5), (1, 1), np.nan)),
+    ],
+    ids=["profile_nan", "profile_inf", "cyclic_difference", "decay_profile", "spark"],
+)
+def test_public_entry_points_reject_non_finite_input(call):
+    with pytest.raises(ValueError, match="non-finite"):
+        call()
+
 
 class TestCyclicDifference:
     def test_second_difference_matches_negated_cycle_laplacian(self):
@@ -386,6 +419,29 @@ class TestModelDegreeReport:
         assert model_degree_report(spec, cos) == whole
 
 
+class TestSpectralFactorization:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(5, 96),
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(["unit", "integer", "uniform"]),
+    )
+    def test_residual_matches_the_dense_product(self, n, seed, kind):
+        # passes at the dense-product implementation too: it pins the spectral
+        # residual to the dense one and the verdict to what the dense one gives
+        rng = np.random.default_rng(seed)
+        spec = graphs.random_circulant_spec(n, rng, weights=kind)
+        cos = Cosupport.from_support(n, rng.choice(n, size=2, replace=False).tolist())
+        report = model_degree_report(spec, cos)
+        l_pinv = laplacian_pinv(spec)
+        dense = float(np.abs(transform_inverse(perturbation_factor(spec)) @ cycle_pinv(n)
+                             - l_pinv).max())
+        assert abs(report.factorization_residual - dense) <= 1e-13 * max(
+            1.0, float(np.abs(l_pinv).max()))
+        assert report.passed == (report.analysis_ok and report.synthesis_ok
+                                 and dense <= report.residual_tol)
+
+
 class TestCirculantPath:
     def test_degree_report_and_absorption_skip_the_eigensolve(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -405,6 +461,16 @@ class TestCirculantPath:
         spec = CirculantSpec(32, ((1, 1.0), (2, 1.0)))
         assert model_degree_report(spec, Cosupport.from_support(32, (4, 20))).passed
         assert absorb_discontinuity(spec, 0, 2, 9)[2].passed
+
+    def test_degree_report_multiplies_no_dense_circulants(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense n x n circulant on the degree report")
+
+        for name in ("transform_inverse", "cycle_pinv"):
+            monkeypatch.setattr(circulant, name, refuse)
+            monkeypatch.setattr(synthesis, name, refuse, raising=False)
+        spec = CirculantSpec(32, ((1, 1.0), (2, 1.0)))
+        assert model_degree_report(spec, Cosupport.from_support(32, (4, 20))).passed
 
     def test_degree_report_takes_no_dense_inverse(self, monkeypatch):
         def refuse(*args, **kwargs):
