@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circulant import laplacian_pinv
-from .graphs import CirculantSpec, Cosupport, Graph, connected_components, laplacian
+from .circulant import _pinv_columns, laplacian_pinv
+from .graphs import CirculantSpec, Cosupport, Graph, _laplacian_map, connected_components
+from .graphs import laplacian
 from .linalg import ZERO_FLOOR, _require_finite, _require_tolerance, rank
 
 __all__ = [
@@ -106,18 +107,18 @@ def nullspace_basis(g: Graph | CirculantSpec, cosupport: Cosupport) -> Nullspace
             "cosupport covers every vertex: the nullspace is span{1} and no "
             "sampled basis is defined"
         )
-    return _basis_from_pinv(laplacian_pinv(g), cosupport)
+    return _basis_from_columns(_pinv_columns(g, cosupport.complement), cosupport)
 
 
-def _basis_from_pinv(l_pinv: np.ndarray, cosupport: Cosupport) -> NullspaceBasis:
-    """The closed-form basis from the L^+ of a connected graph.
+def _basis_from_columns(cols: np.ndarray, cosupport: Cosupport) -> NullspaceBasis:
+    """The closed-form basis from the complement columns of a connected
+    graph's L^+.
 
-    ``np.take`` gathers the complement columns C-contiguous; ``l_pinv[:, comp]``
-    would not, and BLAS can round the product differently in the last bit.
+    The columns come C-contiguous, as ``np.take`` gathers them; an F-ordered
+    copy such as ``l_pinv[:, comp]`` can make BLAS round the product
+    differently in the last bit.
     """
-    comp = cosupport.complement
-    smooth = np.take(l_pinv, comp, axis=1) @ zero_sum_basis(len(comp))
-    return NullspaceBasis(cosupport, smooth)
+    return NullspaceBasis(cosupport, cols @ zero_sum_basis(cols.shape[1]))
 
 
 def cosparsity(g: Graph | CirculantSpec, x, tol: float = 1e-9) -> tuple[int, Cosupport]:
@@ -130,7 +131,7 @@ def cosparsity(g: Graph | CirculantSpec, x, tol: float = 1e-9) -> tuple[int, Cos
     vec = _require_finite(x, "signal")
     if vec.shape != (g.n,):
         raise ValueError(f"signal shape {vec.shape} does not match n={g.n}")
-    return _annihilated(laplacian(g) @ vec, tol)
+    return _annihilated(_laplacian_map(g)(vec), tol)
 
 
 def _annihilated(lx: np.ndarray, tol: float) -> tuple[int, Cosupport]:
@@ -204,7 +205,8 @@ def randomized_uniqueness_check(
             pair = []
             for _ in range(2):
                 members = tuple(sorted(rng.choice(g.n, size=l, replace=False)))
-                basis = _basis_from_pinv(l_pinv, Cosupport(g.n, members))
+                cos = Cosupport(g.n, members)
+                basis = _basis_from_columns(np.take(l_pinv, cos.complement, axis=1), cos)
                 vec = basis.matrix() @ rng.standard_normal(basis.dim)
                 pair.append(vec / max(float(np.linalg.norm(vec)), ZERO_FLOOR))
             if float(np.linalg.norm(pair[0] - pair[1])) >= MIN_SEPARATION:

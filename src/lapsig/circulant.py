@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import CirculantSpec, Graph, _circulant, _laplacian_row
+from .graphs import CirculantSpec, Graph, _circulant, _circulant_times, _laplacian_row
 from .graphs import connected_components, laplacian
 from .linalg import ZERO_FLOOR, _laplacian_pinv, _require_finite, _require_nullity, _zero_cutoff
 
@@ -94,7 +94,7 @@ class RepresenterPolynomial:
     @classmethod
     def from_first_row(cls, row) -> "RepresenterPolynomial":
         """Fold a symmetric circulant first row back into coefficients."""
-        arr = np.asarray(row, dtype=float)
+        arr = _require_finite(row, "first row")
         n = arr.size
         flipped = np.roll(arr[::-1], 1)  # flipped[i] == arr[(n - i) % n]
         if np.abs(arr - flipped).max() > ROW_SYM_RTOL * max(float(np.abs(arr).max()), 1.0):
@@ -150,12 +150,33 @@ def laplacian_pinv(g: Graph | CirculantSpec) -> np.ndarray:
     """
     if isinstance(g, Graph):
         return _laplacian_pinv(laplacian(g), connected_components(g))
-    lam = np.fft.fft(_laplacian_row(g)).real
-    cutoff = _zero_cutoff(g.n, float(np.abs(lam).max()))
-    _require_nullity(lam, cutoff, connected_components(g))
-    recip = np.zeros(g.n)
+    return _circulant(_pinv_row(g))
+
+
+def _pinv_row(spec: CirculantSpec) -> np.ndarray:
+    """First row of the L^+ of a circulant graph, by ``laplacian_pinv``'s
+    DFT rule and under its nullity guard; every entry of L^+ sits in it."""
+    lam = np.fft.fft(_laplacian_row(spec)).real
+    cutoff = _zero_cutoff(spec.n, float(np.abs(lam).max()))
+    _require_nullity(lam, cutoff, connected_components(spec))
+    recip = np.zeros(spec.n)
     np.divide(1.0, lam, out=recip, where=np.abs(lam) > cutoff)
-    return _circulant(_inverse_row(recip))
+    return _inverse_row(recip)
+
+
+def _pinv_columns(g: Graph | CirculantSpec, cols) -> np.ndarray:
+    """Columns ``cols`` of ``laplacian_pinv(g)``, C-ordered as ``np.take``
+    gathers them; a spec forms no n x n matrix."""
+    if isinstance(g, Graph):
+        return np.take(laplacian_pinv(g), cols, axis=1)
+    return _shifted_columns(_pinv_row(g), cols)
+
+
+def _shifted_columns(row: np.ndarray, cols) -> np.ndarray:
+    """Columns ``cols`` of the circulant with the symmetric first row ``row``,
+    C-ordered: column j is ``row`` shifted cyclically by j."""
+    shift = np.arange(row.size)[:, None] - np.asarray(cols, dtype=np.intp)
+    return row[shift % row.size]
 
 
 def poly_multiply_mod(
@@ -169,11 +190,7 @@ def poly_multiply_mod(
     """
     if a.n != b.n:
         raise ValueError("operands must share the ambient size n")
-    ra, rb = a.first_row(), b.first_row()
-    out = np.zeros(a.n)
-    for idx in np.flatnonzero(ra):
-        out += ra[idx] * np.roll(rb, idx)
-    return RepresenterPolynomial.from_first_row(out)
+    return RepresenterPolynomial.from_first_row(_circulant_times(a.first_row(), b.first_row()))
 
 
 def _cycle_pinv_value(n: int, shift):

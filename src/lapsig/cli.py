@@ -20,11 +20,12 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import _annihilated, cosparsity, nullspace_basis
-from .circulant import laplacian_pinv
+from .circulant import _pinv_columns
 from .graphs import (
     CirculantSpec,
     Cosupport,
     Graph,
+    _laplacian_map,
     circulant_spec_from_json,
     compile_circulant,
     connected_components,
@@ -156,8 +157,7 @@ def cmd_figures(args) -> int:
     out = _out_dir(args)
     differences = {}
     for tag, spec in panels.items():
-        l_pinv = laplacian_pinv(spec)
-        atom_a, atom_b = l_pinv[:, i], l_pinv[:, j]
+        atom_a, atom_b = _pinv_columns(spec, (i, j)).T
         diff = atom_a - atom_b
         differences[tag] = diff
         _write_indexed_csv(out / f"atoms_{tag}.csv", atom_a, atom_b, diff)
@@ -217,10 +217,10 @@ def cmd_analysis_basis(args) -> int:
     g = _load_graph(args)
     cos = _cosupport_from_args(args, g.n)
     mat = nullspace_basis(g, cos).matrix()
-    lap = laplacian(g)
+    apply_laplacian = _laplacian_map(g)
     columns = []
     for idx in range(mat.shape[1]):
-        count, recovered = _annihilated(lap @ mat[:, idx], args.tol)
+        count, recovered = _annihilated(apply_laplacian(mat[:, idx]), args.tol)
         columns.append(
             {
                 "column": idx,

@@ -188,6 +188,20 @@ def _circulant(row: np.ndarray) -> np.ndarray:
     return np.ndarray((n, n), ext.dtype, ext, n * step, (-step, step)).copy()
 
 
+def _circulant_times(row: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The circulant with the symmetric first row ``row`` times ``x`` along axis 0.
+
+    The sum of ``row[k]`` times ``x`` shifted cyclically by k, over the
+    nonzero entries of ``row``: a banded circulant costs a few shifted
+    copies and no n x n matrix.  Of two first rows it is their circular
+    convolution, the first row of the product.
+    """
+    out = np.zeros(x.shape)
+    for k in np.flatnonzero(row):
+        out += row[k] * np.roll(x, k, axis=0)
+    return out
+
+
 def _laplacian_row(spec: CirculantSpec) -> np.ndarray:
     """First Laplacian row of a circulant graph; the wrap hop n/2 counts once."""
     row = np.zeros(spec.n)
@@ -213,6 +227,19 @@ def laplacian(g: Graph | CirculantSpec) -> np.ndarray:
     lap = -a
     np.fill_diagonal(lap, a.sum(axis=1))
     return lap
+
+
+def _laplacian_map(g: Graph | CirculantSpec):
+    """The function x -> L x for a signal x.
+
+    A Graph forms its dense Laplacian once, here; a circulant spec applies
+    its first row by shifts and forms none.
+    """
+    if isinstance(g, CirculantSpec):
+        row = _laplacian_row(g)
+        return lambda x: _circulant_times(row, x)
+    lap = laplacian(g)
+    return lambda x: lap @ x
 
 
 def incidence(g: Graph) -> np.ndarray:

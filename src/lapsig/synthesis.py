@@ -13,19 +13,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circulant import _cycle_pinv_value, _inverse_row, _invertible_spectrum, cycle_laplacian
-from .circulant import laplacian_pinv, perturbation_factor, pinv_residual_allowance
+from .circulant import _cycle_pinv_value, _inverse_row, _invertible_spectrum, _pinv_columns
+from .circulant import _pinv_row, _shifted_columns, cycle_laplacian, laplacian_pinv
+from .circulant import perturbation_factor, pinv_residual_allowance
 from .graphs import (
     CirculantSpec,
     Cosupport,
     Graph,
+    _circulant_times,
     _within_hops,
     complete_graph,
     connected_components,
     laplacian,
 )
 from .linalg import ZERO_FLOOR, _laplacian_pinv, _require_finite, _require_tolerance
-from .analysis import _annihilated, _basis_from_pinv
+from .analysis import _annihilated, _basis_from_columns
 
 __all__ = [
     "synthesize",
@@ -44,7 +46,6 @@ __all__ = [
 
 KNOT_TOL = 1e-7  # relative size at which an entry or a difference counts as nonzero
 _EDGE_BLOCK_CELLS = 1 << 16  # values gathered per block of edges; bounds the temporaries
-_PROFILE_BLOCK = 128  # atoms formed and profiled at once by model_degree_report
 
 
 def synthesize(g: Graph | CirculantSpec, support, coeffs) -> np.ndarray:
@@ -53,7 +54,9 @@ def synthesize(g: Graph | CirculantSpec, support, coeffs) -> np.ndarray:
 
     The output always lies in the range of L^+, i.e. it is orthogonal to the
     constant vector.  Coefficients pair with the support in the order given.
-    A graph ``laplacian_pinv`` sees as numerically disconnected raises.
+    A graph ``laplacian_pinv`` sees as numerically disconnected raises.  The
+    columns are multiplied F-ordered, as ``l_pinv[:, support]`` holds them,
+    so BLAS rounds the product the same way for a Graph and a spec.
     """
     if connected_components(g) != 1:
         raise ValueError("synthesis assumes a connected graph")
@@ -68,10 +71,7 @@ def synthesize(g: Graph | CirculantSpec, support, coeffs) -> np.ndarray:
         raise ValueError(
             f"coefficient count {vec.shape} does not match support size {len(sup)}"
         )
-    l_pinv = laplacian_pinv(g)
-    if not sup:
-        return np.zeros(g.n)
-    return l_pinv[:, sup] @ vec
+    return np.asfortranarray(_pinv_columns(g, sup)) @ vec
 
 
 def structured_sparsity_check(c, tol: float = 1e-9) -> bool:
@@ -81,7 +81,7 @@ def structured_sparsity_check(c, tol: float = 1e-9) -> bool:
     zero; the test is |sum c| <= tol * ||c||_1, with ``tol`` finite and >= 0.
     """
     _require_tolerance(tol)
-    vec = np.asarray(c, dtype=float)
+    vec = _require_finite(c, "coefficients")
     return abs(float(vec.sum())) <= tol * float(np.abs(vec).sum())
 
 
@@ -303,26 +303,31 @@ def model_degree_report(spec: CirculantSpec, cosupport: Cosupport) -> DegreeRepo
     P @ (L^+)_j, which equals the cycle pseudoinverse column j, is piecewise
     quadratic with its knot at j; (c) the pseudoinverse factorisation
     residual stays within tolerance, so the perturbation is exactly the
-    inverse factor.  The n atoms come from products of P with blocks of
-    columns of L^+, not n matrix-vector products, and the factorisation
-    P^{-1} L_C^+ for (c) as one circulant row from the spectra of P and L_C^+.
+    inverse factor.  No n x n matrix is formed.  Atom j is atom 0 shifted
+    cyclically by j, and the profile commutes with cyclic shifts (its
+    difference, median, threshold and runs all do), so atom 0 alone decides
+    (b): its knots are (0,) exactly when every atom's knots are (j,).  P is
+    applied by shifts of its band, and the factorisation P^{-1} L_C^+ for
+    (c) is one circulant row from the spectra of P and L_C^+.
     """
     factor = perturbation_factor(spec)
-    p_mat = factor.to_matrix()
-    l_pinv = laplacian_pinv(spec)
-    smooth = _basis_from_pinv(l_pinv, cosupport).smooth_part
+    p_row = factor.first_row()
+    row = _pinv_row(spec)
+    cols = _shifted_columns(row, cosupport.complement)
+    smooth = _basis_from_columns(cols, cosupport).smooth_part
     comp = set(cosupport.complement)
     off = [i for i in range(spec.n) if i not in comp]
 
-    analysis = _profiles(p_mat @ smooth, 2)
+    analysis = _profiles(_circulant_times(p_row, smooth), 2)
     analysis_deg = max((prof.max_degree for prof in analysis), default=0)
     analysis_ok = all(set(prof.knots) <= comp for prof in analysis) and analysis_deg <= 1
     perturbed_dev = 0.0
     if off and analysis:
         perturbed_dev = float(np.abs(_cyclic_difference(smooth, 2)[off]).max())
 
-    synthesis_ok, synthesis_deg = _atom_degrees(p_mat, l_pinv)
-    synthesis_ok &= synthesis_deg <= 2
+    (atom,) = _profiles(_circulant_times(p_row, row)[:, None], 2)
+    synthesis_deg = atom.max_degree
+    synthesis_ok = atom.knots == (0,) and synthesis_deg <= 2
 
     # every entry of a circulant sits in its first row
     cycle_row = _cycle_pinv_value(spec.n, np.arange(spec.n))
@@ -332,28 +337,10 @@ def model_degree_report(spec: CirculantSpec, cosupport: Cosupport) -> DegreeRepo
         analysis_ok=analysis_ok,
         synthesis_max_degree=synthesis_deg,
         synthesis_ok=synthesis_ok,
-        factorization_residual=float(np.abs(split - l_pinv[0]).max()),
-        residual_tol=pinv_residual_allowance(l_pinv),
+        factorization_residual=float(np.abs(split - row).max()),
+        residual_tol=pinv_residual_allowance(row),
         perturbed_offknot_second_difference=perturbed_dev,
     )
-
-
-def _atom_degrees(p_mat: np.ndarray, l_pinv: np.ndarray) -> tuple[bool, int]:
-    """Whether each atom P (L^+)_j has the single knot j, and the largest
-    segment degree.
-
-    The atoms are formed and profiled _PROFILE_BLOCK columns at a time, one
-    BLAS product per block.  A whole n x n array of atoms measured worse:
-    at n = 1024 it raised the circulant benchmark's peak RSS from about 151
-    to 180 MB on some seeds, as freed heap memory stayed resident.
-    """
-    ok, degree = True, 0
-    for first in range(0, l_pinv.shape[1], _PROFILE_BLOCK):
-        block = _profiles(p_mat @ l_pinv[:, first : first + _PROFILE_BLOCK], 2)
-        for j, prof in enumerate(block, start=first):
-            ok &= prof.knots == (j,)
-            degree = max(degree, prof.max_degree)
-    return ok, degree
 
 
 def complete_graph_identities(n: int) -> tuple[float, float]:

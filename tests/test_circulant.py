@@ -83,6 +83,11 @@ class TestRepresenterPolynomial:
         with pytest.raises(ValueError, match="not symmetric"):
             RepresenterPolynomial.from_first_row(np.array([1.0, 2.0, 0.0, 3.0]))
 
+    def test_from_first_row_rejects_nan(self):
+        # a NaN difference would pass the symmetry test, and the tail is dropped
+        with pytest.raises(ValueError, match="non-finite"):
+            RepresenterPolynomial.from_first_row([2.0, -1.0, 0, 0, 0, 0, 0, np.nan])
+
 
 class TestLaplacianRepresenter:
     def test_cycle(self):

@@ -5,9 +5,11 @@ import json
 import numpy as np
 import pytest
 
-from lapsig import analysis, cli, graphs
+from lapsig import analysis, circulant, cli, graphs, synthesis
+from lapsig.analysis import zero_sum_basis
 from lapsig.cli import main
-from lapsig.circulant import cycle_pinv
+from lapsig.circulant import cycle_pinv, laplacian_pinv
+from lapsig.linalg import save_matrix_csv
 
 FOUR_CYCLE = '{"n": 4, "generators": [[1, 1.0]]}'
 BANDED_64 = '{"n": 64, "generators": [[1, 1.0], [2, 1.0], [3, 1.0]]}'
@@ -223,6 +225,10 @@ class TestAnalysisBasis:
         assert _read_json(out / "report.json")["support"] == [2, 5]
 
     def test_forms_the_laplacian_once(self, tmp_path, monkeypatch):
+        # the column images: a spec forms no dense Laplacian, a Graph forms one
+        graph = tmp_path / "banded.txt"
+        spec = graphs.circulant_spec_from_json(BANDED_64)
+        graph.write_text(graphs.format_edge_list(graphs.compile_circulant(spec)))
         calls = []
         laplacian = graphs.laplacian
 
@@ -230,13 +236,15 @@ class TestAnalysisBasis:
             calls.append(g.n)
             return laplacian(g)
 
-        monkeypatch.setattr(cli, "laplacian", counted)
-        monkeypatch.setattr(analysis, "laplacian", counted)
-        out = tmp_path / "basis"
-        assert main(["analysis-basis", "--circulant", BANDED_64, "--support", "3,9,21,41,50",
-                     "--out", str(out)]) == 0
-        assert len(_read_json(out / "report.json")["columns"]) == 5
-        assert calls == [64]
+        for module in (cli, analysis, graphs):
+            monkeypatch.setattr(module, "laplacian", counted)
+        for source, formed in ((["--circulant", BANDED_64], []), (["--graph", str(graph)], [64])):
+            calls.clear()
+            out = tmp_path / source[0][2:]
+            assert main(["analysis-basis", *source, "--support", "3,9,21,41,50",
+                         "--out", str(out)]) == 0
+            assert len(_read_json(out / "report.json")["columns"]) == 5
+            assert calls == formed
 
     def test_disconnected_refused(self, tmp_path):
         graph = tmp_path / "g.txt"
@@ -382,6 +390,44 @@ class TestInputPath:
         assert main(["synth", "--graph", str(graph), "--support", "0,2",
                      "--out", str(tmp_path / "s")]) == 0
         assert eigh_calls == [(4, 4), (4, 4)]
+
+    def test_spec_paths_form_no_dense_matrix(self, tmp_path, monkeypatch):
+        # the expected files come from columns of the dense L^+, formed first
+        want = tmp_path / "want"
+        want.mkdir()
+        support = [3, 9, 21, 41, 50]
+        spec = graphs.circulant_spec_from_json(BANDED_64)
+        for tag, hops in (("cycle", ((1, 1.0),)), ("banded", ((1, 1.0), (2, 1.0), (3, 1.0)))):
+            l_pinv = laplacian_pinv(graphs.CirculantSpec(64, hops))
+            diff = l_pinv[:, 21] - l_pinv[:, 41]
+            cli._write_indexed_csv(want / f"atoms_{tag}.csv", l_pinv[:, 21], l_pinv[:, 41], diff)
+        cli._write_indexed_csv(want / "signal_banded.csv", diff)
+        l_pinv = laplacian_pinv(spec)
+        smooth = np.take(l_pinv, support, axis=1) @ zero_sum_basis(len(support))
+        save_matrix_csv(want / "basis.csv", np.column_stack([np.ones(64), smooth]))
+        cli._write_indexed_csv(want / "signal.csv", l_pinv[:, support] @ [1.0, -1.0, 1.0, -1.0, 1.0])
+        cos = graphs.Cosupport.from_support(64, support)
+        report = synthesis.model_degree_report(spec, cos)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense n x n matrix on a spec path")
+
+        monkeypatch.setattr(graphs, "_circulant", refuse)
+        monkeypatch.setattr(circulant, "_circulant", refuse)
+        for module in (graphs, analysis, cli, synthesis):
+            monkeypatch.setattr(module, "laplacian", refuse)
+        out = tmp_path / "got"
+        text = ",".join(map(str, support))
+        assert main(["figures", "--out", str(out)]) == 0
+        assert main(["analysis-basis", "--circulant", BANDED_64, "--support", text,
+                     "--out", str(out)]) == 0
+        assert main(["synth", "--circulant", BANDED_64, "--support", text,
+                     "--out", str(out)]) == 0
+        for name in ("atoms_cycle.csv", "atoms_banded.csv", "signal_banded.csv", "basis.csv",
+                     "signal.csv"):
+            assert (out / name).read_bytes() == (want / name).read_bytes(), name
+        assert synthesis.model_degree_report(spec, cos) == report
+        assert report.passed
 
     def test_circulant_commands_never_build_the_graph(self, tmp_path, monkeypatch):
         def refuse(*args, **kwargs):

@@ -114,6 +114,11 @@ class TestStructuredSparsity:
     def test_zero_vector_passes(self):
         assert structured_sparsity_check(np.zeros(5))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_coefficients(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            structured_sparsity_check([1.0, bad, -1.0])
+
 
 class TestEdgeKnotResidual:
     def test_four_cycle(self):
@@ -410,13 +415,24 @@ class TestModelDegreeReport:
         )
         assert report.passed
 
-    def test_atom_blocks_do_not_change_the_report(self, monkeypatch):
-        spec = CirculantSpec(32, ((1, 1.0), (2, 1.0), (5, 2.0)))
-        cos = Cosupport.from_support(32, (4, 20))
-        whole = model_degree_report(spec, cos)
-        assert whole.passed
-        monkeypatch.setattr(synthesis, "_PROFILE_BLOCK", 5)  # 32 = 6 * 5 + 2
-        assert model_degree_report(spec, cos) == whole
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(5, 160),
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(["unit", "integer", "uniform"]),
+    )
+    def test_one_atom_decides_every_atom(self, n, seed, kind):
+        # the oracle profiles all n atoms, the columns of the dense P L^+
+        rng = np.random.default_rng(seed)
+        spec = graphs.random_circulant_spec(n, rng, weights=kind)
+        cos = Cosupport.from_support(n, rng.choice(n, size=2, replace=False).tolist())
+        report = model_degree_report(spec, cos)
+        atoms = synthesis._profiles(perturbation_factor(spec).to_matrix() @ laplacian_pinv(spec), 2)
+        degree = max(prof.max_degree for prof in atoms)
+        assert report.synthesis_max_degree == degree
+        assert report.synthesis_ok == (
+            all(prof.knots == (j,) for j, prof in enumerate(atoms)) and degree <= 2
+        )
 
 
 class TestSpectralFactorization:
