@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circulant import _pinv_columns, laplacian_pinv
-from .graphs import CirculantSpec, Cosupport, Graph, _laplacian_map, connected_components
+from .graphs import CirculantSpec, Cosupport, Graph, _apply_laplacian, connected_components
 from .graphs import laplacian
 from .linalg import ZERO_FLOOR, _require_finite, _require_tolerance, rank
 
@@ -35,6 +35,7 @@ __all__ = [
 UNIQUENESS_GAP_TOL = 1e-6  # smallest measurement gap a uniqueness probe accepts
 MIN_SEPARATION = 1e-2  # least distance between the two unit signals of a trial
 INDEPENDENCE_TOL = 1e-8  # singular value at or below which columns are dependent
+ZERO_TEST_TOL = 1e-9  # default of the relative zero test in cosparsity and the zero-sum check
 
 
 def sampling_matrix(indices, n: int) -> np.ndarray:
@@ -121,7 +122,7 @@ def _basis_from_columns(cols: np.ndarray, cosupport: Cosupport) -> NullspaceBasi
     return NullspaceBasis(cosupport, cols @ zero_sum_basis(cols.shape[1]))
 
 
-def cosparsity(g: Graph | CirculantSpec, x, tol: float = 1e-9) -> tuple[int, Cosupport]:
+def cosparsity(g: Graph | CirculantSpec, x, tol: float = ZERO_TEST_TOL) -> tuple[int, Cosupport]:
     """Count of vertices where L x vanishes, with the vanishing set.
 
     The zero test is relative: |(Lx)_i| <= tol * ||Lx||_inf, with ``tol``
@@ -131,7 +132,7 @@ def cosparsity(g: Graph | CirculantSpec, x, tol: float = 1e-9) -> tuple[int, Cos
     vec = _require_finite(x, "signal")
     if vec.shape != (g.n,):
         raise ValueError(f"signal shape {vec.shape} does not match n={g.n}")
-    return _annihilated(_laplacian_map(g)(vec), tol)
+    return _annihilated(_apply_laplacian(g, vec), tol)
 
 
 def _annihilated(lx: np.ndarray, tol: float) -> tuple[int, Cosupport]:
@@ -191,11 +192,14 @@ def randomized_uniqueness_check(
     with m rows; record the smallest measurement gap seen.  Continuous
     random measurement rows have no non-trivial dependencies with the
     Laplacian rows almost surely, which is the regime the bound addresses.
+    ``trials`` must be at least 1: a probe that ran no trial is no evidence.
     """
     if connected_components(g) != 1:
         raise ValueError("uniqueness probe requires a connected graph")
     if not 0 < l < g.n:
         raise ValueError("cosparsity level must lie in (0, n)")
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     rng = np.random.default_rng(seed)
     l_pinv = laplacian_pinv(g)
     min_gap = np.inf

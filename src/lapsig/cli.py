@@ -19,13 +19,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import _annihilated, cosparsity, nullspace_basis
+from .analysis import ZERO_TEST_TOL, _annihilated, cosparsity, nullspace_basis
 from .circulant import _pinv_columns
 from .graphs import (
     CirculantSpec,
     Cosupport,
     Graph,
-    _laplacian_map,
+    _apply_laplacian,
     circulant_spec_from_json,
     compile_circulant,
     connected_components,
@@ -217,10 +217,10 @@ def cmd_analysis_basis(args) -> int:
     g = _load_graph(args)
     cos = _cosupport_from_args(args, g.n)
     mat = nullspace_basis(g, cos).matrix()
-    apply_laplacian = _laplacian_map(g)
+    images = _apply_laplacian(g, mat)
     columns = []
     for idx in range(mat.shape[1]):
-        count, recovered = _annihilated(apply_laplacian(mat[:, idx]), args.tol)
+        count, recovered = _annihilated(images[:, idx], args.tol)
         columns.append(
             {
                 "column": idx,
@@ -337,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_graph_source(p)
     p.add_argument("--cosupport", default=None, help="comma list of annihilated vertices")
     p.add_argument("--support", default=None, help="comma list of complement vertices")
-    p.add_argument("--tol", type=float, default=1e-9, help="cosparsity zero threshold")
+    p.add_argument("--tol", type=float, default=ZERO_TEST_TOL, help="cosparsity zero threshold")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_analysis_basis)
 
@@ -349,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="comma list of coefficients (default: alternating +1,-1)",
     )
-    p.add_argument("--tol", type=float, default=1e-9, help="cosparsity zero threshold")
+    p.add_argument("--tol", type=float, default=ZERO_TEST_TOL, help="cosparsity zero threshold")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_synth)
 

@@ -229,17 +229,15 @@ def laplacian(g: Graph | CirculantSpec) -> np.ndarray:
     return lap
 
 
-def _laplacian_map(g: Graph | CirculantSpec):
-    """The function x -> L x for a signal x.
+def _apply_laplacian(g: Graph | CirculantSpec, x: np.ndarray) -> np.ndarray:
+    """L x for a signal x, or L X for every column of a matrix X.
 
-    A Graph forms its dense Laplacian once, here; a circulant spec applies
-    its first row by shifts and forms none.
+    A circulant spec applies its first row by shifts and forms no n x n
+    matrix; a Graph forms its dense Laplacian.
     """
     if isinstance(g, CirculantSpec):
-        row = _laplacian_row(g)
-        return lambda x: _circulant_times(row, x)
-    lap = laplacian(g)
-    return lambda x: lap @ x
+        return _circulant_times(_laplacian_row(g), x)
+    return laplacian(g) @ x
 
 
 def incidence(g: Graph) -> np.ndarray:

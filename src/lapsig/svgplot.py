@@ -33,6 +33,9 @@ def line_plot_svg(path, series, title: str = "", xlabel: str = "", ylabel: str =
     npts = ys[0].size
     if npts < 2 or any(y.size != npts for y in ys):
         raise ValueError("series must share a common length >= 2")
+    for (label, _), y in zip(series, ys):
+        if not np.isfinite(y).all():
+            raise ValueError(f"series {label!r} has non-finite values")
 
     lo = min(float(y.min()) for y in ys)
     hi = max(float(y.max()) for y in ys)

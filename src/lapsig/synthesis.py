@@ -14,12 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circulant import _cycle_pinv_value, _inverse_row, _invertible_spectrum, _pinv_columns
-from .circulant import _pinv_row, _shifted_columns, cycle_laplacian, laplacian_pinv
-from .circulant import perturbation_factor, pinv_residual_allowance
+from .circulant import _pinv_row, perturbation_factor, pinv_residual_allowance
 from .graphs import (
     CirculantSpec,
     Cosupport,
     Graph,
+    _apply_laplacian,
     _circulant_times,
     _within_hops,
     complete_graph,
@@ -27,7 +27,7 @@ from .graphs import (
     laplacian,
 )
 from .linalg import ZERO_FLOOR, _laplacian_pinv, _require_finite, _require_tolerance
-from .analysis import _annihilated, _basis_from_columns
+from .analysis import ZERO_TEST_TOL, _annihilated, nullspace_basis
 
 __all__ = [
     "synthesize",
@@ -74,7 +74,7 @@ def synthesize(g: Graph | CirculantSpec, support, coeffs) -> np.ndarray:
     return np.asfortranarray(_pinv_columns(g, sup)) @ vec
 
 
-def structured_sparsity_check(c, tol: float = 1e-9) -> bool:
+def structured_sparsity_check(c, tol: float = ZERO_TEST_TOL) -> bool:
     """Whether a coefficient vector is admissible as a Laplacian image.
 
     On a connected graph a vector can equal L x only if its entries sum to
@@ -204,31 +204,19 @@ def piecewise_degree_profile(x, annihilator_order: int = 2) -> PiecewiseProfile:
     spread across every vertex.  Segment degrees are fitted with plain
     one-sided differences inside each run between consecutive knots.
     """
-    return _profiles(_require_finite(x, "signal")[:, None], annihilator_order)[0]
+    return _profile(_require_finite(x, "signal"), annihilator_order)
 
 
-def _profiles(mat: np.ndarray, order: int) -> list[PiecewiseProfile]:
-    """``piecewise_degree_profile`` of every column of an n x m matrix.
-
-    The annihilator, its median and the knot threshold are taken along axis
-    0 for all columns at once; the runs and their degrees column by column.
-    """
+def _profile(vec: np.ndarray, order: int) -> PiecewiseProfile:
+    """``piecewise_degree_profile`` of a finite vector."""
     if order not in (1, 2, 4):
         raise ValueError("annihilator order must be 1, 2 or 4")
-    m = mat.shape[1]
-    out = _cyclic_difference(mat, order)
-    dev = np.abs(out - np.median(out, axis=0))
-    scale = dev.max(axis=0)
-    hits = (dev > KNOT_TOL * scale) & (scale > ZERO_FLOOR)
-    col, row = np.nonzero(hits.T)  # knots column by column, ascending
-    bounds = np.searchsorted(col, np.arange(m + 1)).tolist()
-    row = row.tolist()
-    profiles = []
-    for c in range(m):
-        knots = tuple(row[bounds[c] : bounds[c + 1]])
-        segments, degrees = _runs(mat[:, c], knots)
-        profiles.append(PiecewiseProfile(knots, segments, degrees, order))
-    return profiles
+    out = _cyclic_difference(vec, order)
+    dev = np.abs(out - np.median(out))
+    scale = float(dev.max())
+    knots = tuple(np.flatnonzero(dev > KNOT_TOL * scale).tolist()) if scale > ZERO_FLOOR else ()
+    segments, degrees = _runs(vec, knots)
+    return PiecewiseProfile(knots, segments, degrees, order)
 
 
 def _runs(vec: np.ndarray, knots: tuple[int, ...]):
@@ -303,29 +291,30 @@ def model_degree_report(spec: CirculantSpec, cosupport: Cosupport) -> DegreeRepo
     P @ (L^+)_j, which equals the cycle pseudoinverse column j, is piecewise
     quadratic with its knot at j; (c) the pseudoinverse factorisation
     residual stays within tolerance, so the perturbation is exactly the
-    inverse factor.  No n x n matrix is formed.  Atom j is atom 0 shifted
-    cyclically by j, and the profile commutes with cyclic shifts (its
-    difference, median, threshold and runs all do), so atom 0 alone decides
-    (b): its knots are (0,) exactly when every atom's knots are (j,).  P is
-    applied by shifts of its band, and the factorisation P^{-1} L_C^+ for
-    (c) is one circulant row from the spectra of P and L_C^+.
+    inverse factor.  The analysis signals come from ``nullspace_basis``, so
+    its guards apply to the cosupport.  No n x n matrix is formed.  Atom j
+    is atom 0 shifted cyclically by j, and the profile commutes with cyclic
+    shifts (its difference, median, threshold and runs all do), so atom 0
+    alone decides (b): its knots are (0,) exactly when every atom's knots
+    are (j,).  P is applied by shifts of its band, and the factorisation
+    P^{-1} L_C^+ for (c) is one circulant row from the spectra of P and
+    L_C^+.
     """
     factor = perturbation_factor(spec)
     p_row = factor.first_row()
+    smooth = nullspace_basis(spec, cosupport).smooth_part
     row = _pinv_row(spec)
-    cols = _shifted_columns(row, cosupport.complement)
-    smooth = _basis_from_columns(cols, cosupport).smooth_part
     comp = set(cosupport.complement)
     off = [i for i in range(spec.n) if i not in comp]
 
-    analysis = _profiles(_circulant_times(p_row, smooth), 2)
+    analysis = [_profile(col, 2) for col in _circulant_times(p_row, smooth).T]
     analysis_deg = max((prof.max_degree for prof in analysis), default=0)
     analysis_ok = all(set(prof.knots) <= comp for prof in analysis) and analysis_deg <= 1
     perturbed_dev = 0.0
     if off and analysis:
         perturbed_dev = float(np.abs(_cyclic_difference(smooth, 2)[off]).max())
 
-    (atom,) = _profiles(_circulant_times(p_row, row)[:, None], 2)
+    atom = _profile(_circulant_times(p_row, row), 2)
     synthesis_deg = atom.max_degree
     synthesis_ok = atom.knots == (0,) and synthesis_deg <= 2
 
@@ -392,7 +381,8 @@ def absorb_discontinuity(
     the factor and leaves the two-point pulse shifted by j, while applying
     the graph Laplacian reproduces p itself.  The report compares both
     detected supports against those patterns: x is sparse with respect to
-    the cycle operator in addition to the graph's own Laplacian.
+    the cycle operator in addition to the graph's own Laplacian.  Every
+    product takes shifts of a first row; no n x n matrix is formed.
     """
     if k == l:
         raise ValueError("pulse endpoints k and l must differ")
@@ -401,13 +391,12 @@ def absorb_discontinuity(
             raise ValueError(f"vertex {name}={v} out of range for n={spec.n}")
     factor_col = np.roll(perturbation_factor(spec).first_row(), j)
     p = np.roll(factor_col, k) - np.roll(factor_col, l)
-    lap = laplacian(spec)
-    x = laplacian_pinv(spec) @ p
-    cyc_out = cycle_laplacian(spec.n) @ x
+    x = _circulant_times(_pinv_row(spec), p)
+    cyc_out = _apply_laplacian(CirculantSpec(spec.n, ((1, 1.0),)), x)
     report = AbsorptionReport(
         cycle_support=_support(cyc_out),
         cycle_support_expected=tuple(sorted({(j + k) % spec.n, (j + l) % spec.n})),
-        laplacian_support=_support(lap @ x),
+        laplacian_support=_support(_apply_laplacian(spec, x)),
         laplacian_support_expected=_support(p),
     )
     return p, x, report

@@ -242,6 +242,12 @@ class TestUniqueness:
         b = randomized_uniqueness_check(g, 4, 4, trials=20, seed=7)
         assert a.min_gap == b.min_gap
 
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_probe_without_trials_is_refused(self, trials):
+        # a probe that ran no trial must not report a pass
+        with pytest.raises(ValueError, match="trials"):
+            randomized_uniqueness_check(cycle_graph(6), 4, 4, trials=trials)
+
 
 class TestSpark:
     def test_closed_form_values(self):

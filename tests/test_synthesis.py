@@ -371,22 +371,6 @@ class TestProfileAgainstReference:
         assert () in adjacent.segments
         assert adjacent == piecewise_degree_profile(_SHAPED["adjacent_knots"], order)
 
-    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-    @given(
-        columns=st.integers(1, 6).flatmap(
-            lambda n: st.lists(
-                st.lists(st.integers(-5, 5).map(float), min_size=n, max_size=n),
-                min_size=1, max_size=5,
-            )
-        ),
-        order=_ORDERS,
-    )
-    def test_matrix_profiles_equal_column_calls(self, columns, order):
-        mat = np.array(columns).T
-        assert synthesis._profiles(mat, order) == [
-            piecewise_degree_profile(col, order) for col in mat.T
-        ]
-
 
 class TestModelDegreeReport:
     def test_pure_cycle_degrees(self):
@@ -415,6 +399,17 @@ class TestModelDegreeReport:
         )
         assert report.passed
 
+    def test_cosupport_of_another_size_is_refused(self):
+        # the basis comes from nullspace_basis, whose size guard applies
+        with pytest.raises(ValueError, match="sizes differ"):
+            model_degree_report(
+                CirculantSpec(16, ((1, 1.0),)), Cosupport.from_support(32, (20, 25))
+            )
+
+    def test_full_cosupport_is_refused(self):
+        with pytest.raises(ValueError, match="cosupport covers every vertex"):
+            model_degree_report(CirculantSpec(16, ((1, 1.0),)), Cosupport(16, tuple(range(16))))
+
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(
         n=st.integers(5, 160),
@@ -427,7 +422,8 @@ class TestModelDegreeReport:
         spec = graphs.random_circulant_spec(n, rng, weights=kind)
         cos = Cosupport.from_support(n, rng.choice(n, size=2, replace=False).tolist())
         report = model_degree_report(spec, cos)
-        atoms = synthesis._profiles(perturbation_factor(spec).to_matrix() @ laplacian_pinv(spec), 2)
+        atoms = [piecewise_degree_profile(col, 2)
+                 for col in (perturbation_factor(spec).to_matrix() @ laplacian_pinv(spec)).T]
         degree = max(prof.max_degree for prof in atoms)
         assert report.synthesis_max_degree == degree
         assert report.synthesis_ok == (
@@ -477,6 +473,35 @@ class TestCirculantPath:
         spec = CirculantSpec(32, ((1, 1.0), (2, 1.0)))
         assert model_degree_report(spec, Cosupport.from_support(32, (4, 20))).passed
         assert absorb_discontinuity(spec, 0, 2, 9)[2].passed
+
+    def test_absorption_forms_no_dense_matrix(self, monkeypatch):
+        # the verify suite's cases, with the supports the dense products gave
+        cases = [
+            (CirculantSpec(12, ((1, 1.0),)), (3, 2, 7), (5, 10), (5, 10)),
+            (CirculantSpec(16, ((1, 1.0), (2, 1.0))), (0, 2, 9), (2, 9), (1, 2, 3, 8, 9, 10)),
+            (
+                CirculantSpec(64, ((1, 1.0), (2, 1.0), (3, 1.0))),
+                (0, 21, 41),
+                (21, 41),
+                (19, 20, 21, 22, 23, 39, 40, 41, 42, 43),
+            ),
+        ]
+        dense = [laplacian_pinv(spec) for spec, *_ in cases]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense n x n matrix on the absorption path")
+
+        monkeypatch.setattr(graphs, "_circulant", refuse)
+        monkeypatch.setattr(circulant, "_circulant", refuse)
+        monkeypatch.setattr(graphs, "laplacian", refuse)
+        monkeypatch.setattr(synthesis, "laplacian", refuse)
+        for (spec, args, cycle_support, lap_support), l_pinv in zip(cases, dense):
+            p, x, report = absorb_discontinuity(spec, *args)
+            assert report.passed
+            assert report.cycle_support == cycle_support
+            assert report.laplacian_support == lap_support
+            want = l_pinv @ p
+            assert np.abs(x - want).max() <= 1e-14 * np.abs(want).max()
 
     def test_degree_report_multiplies_no_dense_circulants(self, monkeypatch):
         def refuse(*args, **kwargs):
