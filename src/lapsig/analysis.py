@@ -115,9 +115,9 @@ def _basis_from_columns(cols: np.ndarray, cosupport: Cosupport) -> NullspaceBasi
     """The closed-form basis from the complement columns of a connected
     graph's L^+.
 
-    The columns come C-contiguous, as ``np.take`` gathers them; an F-ordered
-    copy such as ``l_pinv[:, comp]`` can make BLAS round the product
-    differently in the last bit.
+    The columns come C-contiguous, as ``_pinv_columns`` and ``np.take``
+    gather them; an F-ordered copy such as ``l_pinv[:, comp]`` can make BLAS
+    round the product differently in the last bit.
     """
     return NullspaceBasis(cosupport, cols @ zero_sum_basis(cols.shape[1]))
 
@@ -192,7 +192,8 @@ def randomized_uniqueness_check(
     with m rows; record the smallest measurement gap seen.  Continuous
     random measurement rows have no non-trivial dependencies with the
     Laplacian rows almost surely, which is the regime the bound addresses.
-    ``trials`` must be at least 1: a probe that ran no trial is no evidence.
+    ``trials`` and ``m`` must be at least 1: a probe that ran no trial is no
+    evidence, and with no measurement every pair of signals collides.
     """
     if connected_components(g) != 1:
         raise ValueError("uniqueness probe requires a connected graph")
@@ -200,6 +201,8 @@ def randomized_uniqueness_check(
         raise ValueError("cosparsity level must lie in (0, n)")
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
+    if m < 1:
+        raise ValueError(f"measurement count m must be at least 1, got {m}")
     rng = np.random.default_rng(seed)
     l_pinv = laplacian_pinv(g)
     min_gap = np.inf

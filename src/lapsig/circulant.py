@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import CirculantSpec, Graph, _circulant, _circulant_times, _laplacian_row
-from .graphs import connected_components, laplacian
-from .linalg import ZERO_FLOOR, _laplacian_pinv, _require_finite, _require_nullity, _zero_cutoff
+from .graphs import CirculantSpec, Graph, _circulant, _circulant_times, _circulant_view
+from .graphs import _laplacian_row, connected_components, laplacian
+from .linalg import ZERO_FLOOR, _invert_spectrum, _laplacian_pinv, _require_finite, _require_nullity
 
 __all__ = [
     "RepresenterPolynomial",
@@ -31,8 +31,6 @@ __all__ = [
     "transform_inverse",
     "pinv_factorization",
     "pinv_residual_allowance",
-    "DecayProfile",
-    "decay_profile",
 ]
 
 ROW_SYM_RTOL = 1e-10  # |row - mirrored row| allowed, relative to max(|row|_max, 1)
@@ -157,26 +155,16 @@ def _pinv_row(spec: CirculantSpec) -> np.ndarray:
     """First row of the L^+ of a circulant graph, by ``laplacian_pinv``'s
     DFT rule and under its nullity guard; every entry of L^+ sits in it."""
     lam = np.fft.fft(_laplacian_row(spec)).real
-    cutoff = _zero_cutoff(spec.n, float(np.abs(lam).max()))
-    _require_nullity(lam, cutoff, connected_components(spec))
-    recip = np.zeros(spec.n)
-    np.divide(1.0, lam, out=recip, where=np.abs(lam) > cutoff)
-    return _inverse_row(recip)
+    _require_nullity(lam, connected_components(spec))
+    return _inverse_row(_invert_spectrum(lam))
 
 
 def _pinv_columns(g: Graph | CirculantSpec, cols) -> np.ndarray:
-    """Columns ``cols`` of ``laplacian_pinv(g)``, C-ordered as ``np.take``
-    gathers them; a spec forms no n x n matrix."""
-    if isinstance(g, Graph):
-        return np.take(laplacian_pinv(g), cols, axis=1)
-    return _shifted_columns(_pinv_row(g), cols)
-
-
-def _shifted_columns(row: np.ndarray, cols) -> np.ndarray:
-    """Columns ``cols`` of the circulant with the symmetric first row ``row``,
-    C-ordered: column j is ``row`` shifted cyclically by j."""
-    shift = np.arange(row.size)[:, None] - np.asarray(cols, dtype=np.intp)
-    return row[shift % row.size]
+    """Columns ``cols`` of ``laplacian_pinv(g)``, C-contiguous; a spec
+    gathers them from the strided view of its first row and forms no n x n
+    matrix."""
+    pinv = laplacian_pinv(g) if isinstance(g, Graph) else _circulant_view(_pinv_row(g))
+    return np.ascontiguousarray(pinv[:, cols])
 
 
 def poly_multiply_mod(
@@ -258,31 +246,3 @@ def pinv_factorization(spec: CirculantSpec, l_pinv: np.ndarray) -> tuple[np.ndar
 def pinv_residual_allowance(l_pinv: np.ndarray) -> float:
     """Largest pinv_factorization residual accepted for a given L^+."""
     return PINV_RESIDUAL_RTOL * max(1.0, float(np.abs(l_pinv).max()))
-
-
-@dataclass(frozen=True)
-class DecayProfile:
-    """Largest |entry| of a circulant matrix at each cyclic distance."""
-
-    distances: tuple[int, ...]
-    values: tuple[float, ...]
-    strictly_decreasing: bool
-
-    @property
-    def pairs(self) -> tuple[tuple[int, float], ...]:
-        return tuple(zip(self.distances, self.values))
-
-
-def decay_profile(mat) -> DecayProfile:
-    """Profile |entries| of a circulant matrix by cyclic distance from the diagonal."""
-    arr = _require_finite(mat)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError("expected a square matrix")
-    n = arr.shape[0]
-    idx = np.arange(n)
-    gap = np.abs(idx[None, :] - idx[:, None])
-    cyc = np.minimum(gap, n - gap)
-    distances = tuple(range(n // 2 + 1))
-    values = tuple(float(np.abs(arr[cyc == d]).max()) for d in distances)
-    dec = all(later < prior for prior, later in zip(values, values[1:]))
-    return DecayProfile(distances, values, dec)

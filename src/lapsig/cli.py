@@ -34,7 +34,8 @@ from .graphs import (
     laplacian,
     parse_edge_list,
 )
-from .linalg import _csv_blocks, eig_symmetric, mpp_axiom_residuals, rank, save_matrix_csv
+from .linalg import _centring_residual, _csv_blocks, eig_symmetric, mpp_axiom_residuals, rank
+from .linalg import save_matrix_csv
 from .svgplot import line_plot_svg
 from .synthesis import structured_sparsity_check, synthesize
 from .verification import run_all
@@ -117,16 +118,12 @@ def cmd_operators(args) -> int:
     save_matrix_csv(out / "Lpinv.csv", l_pinv)
     save_matrix_csv(out / "Spinv.csv", s_pinv)
     comps = connected_components(g)
-    projection = None
-    if comps == 1:
-        centering = np.eye(g.n) - np.ones((g.n, g.n)) / g.n
-        projection = float(np.abs(lap @ l_pinv - centering).max())
     report = {
         "n": g.n,
         "edges": g.num_edges,
         "rank": dec.rank,
         "components": comps,
-        "projection_residual": projection,
+        "projection_residual": _centring_residual(lap, l_pinv) if comps == 1 else None,
         "mpp_axiom_residuals": mpp_axiom_residuals(lap, l_pinv),
     }
     _write_json(out / "report.json", report)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from collections import deque
 from dataclasses import dataclass
 
@@ -175,17 +176,26 @@ def adjacency(g: Graph) -> np.ndarray:
     return a
 
 
-def _circulant(row: np.ndarray) -> np.ndarray:
-    """Circulant matrix whose row i is ``row`` shifted cyclically by i.
+def _circulant_view(row: np.ndarray) -> np.ndarray:
+    """Read-only n x n view of the circulant whose row i is ``row`` shifted
+    cyclically by i.
 
-    Entry (i, j) is ``row[(j - i) % n]``: a strided view of the doubled row,
-    starting at its second copy and stepping back one slot per matrix row,
-    is copied out row by row, with no n x n index array.
+    Entry (i, j) is ``row[(j - i) % n]``: the doubled row, seen from its
+    second copy and stepping back one slot per matrix row, with no n x n
+    array or index array.
     """
     n = row.size
     ext = np.concatenate([row, row])
     step = ext.itemsize
-    return np.ndarray((n, n), ext.dtype, ext, n * step, (-step, step)).copy()
+    view = np.ndarray((n, n), ext.dtype, ext, n * step, (-step, step))
+    view.flags.writeable = False
+    return view
+
+
+def _circulant(row: np.ndarray) -> np.ndarray:
+    """Circulant matrix whose row i is ``row`` shifted cyclically by i: the
+    strided view, copied out row by row."""
+    return _circulant_view(row).copy()
 
 
 def _circulant_times(row: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -449,14 +459,19 @@ def circulant_spec_from_json(obj) -> CirculantSpec:
         raise ValueError(f"malformed circulant spec JSON: {exc}") from exc
 
 
-def parse_edge_list(text: str, n: int | None = None) -> Graph:
+def parse_edge_list(text: str) -> Graph:
     """Parse "i j w" lines into a Graph; '#' starts a comment.
 
-    The weight defaults to 1 when omitted.  The vertex count is inferred as
-    the largest endpoint plus one unless given explicitly.
+    The weight defaults to 1 when omitted.  A first line "# n=N", as
+    ``format_edge_list`` writes it, gives the vertex count, so isolated
+    vertices survive the round trip; without it the count is the largest
+    endpoint plus one.
     """
+    lines = text.splitlines()
+    header = re.fullmatch(r"# n=([0-9]+)", lines[0]) if lines else None
+    n = int(header.group(1)) if header else None
     edges = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -471,7 +486,7 @@ def parse_edge_list(text: str, n: int | None = None) -> Graph:
         edges.append((i, j, w))
     if n is None:
         if not edges:
-            raise ValueError("edge list is empty and no vertex count was given")
+            raise ValueError("edge list is empty and has no '# n=N' header")
         n = max(max(i, j) for i, j, _ in edges) + 1
     return Graph(n, tuple(edges))
 

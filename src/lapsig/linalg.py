@@ -52,17 +52,30 @@ def _require_tolerance(tol: float) -> None:
         raise ValueError(f"tolerance must be finite and >= 0, got {tol}")
 
 
-def _zero_cutoff(dim: int, largest: float) -> float:
-    return dim * _EPS * largest
+def _cutoff(values: np.ndarray, dim: int | None = None) -> float:
+    """The rank-revealing zero cutoff ``dim * eps * max|v|``, ``dim`` the
+    number of values by default: an eigenvalue or singular value counts as
+    zero at or below it, and as nonzero above it (``>``)."""
+    largest = float(np.abs(values).max()) if values.size else 0.0
+    return (values.size if dim is None else dim) * _EPS * largest
 
 
-def _require_nullity(lam: np.ndarray, cutoff: float, components: int) -> None:
+def _invert_spectrum(lam: np.ndarray) -> np.ndarray:
+    """1/lam above the zero cutoff and 0 at or below it: the spectrum of the
+    pseudoinverse, for the dense and the DFT L^+ alike."""
+    inv = np.zeros_like(lam)
+    np.divide(1.0, lam, out=inv, where=np.abs(lam) > _cutoff(lam))
+    return inv
+
+
+def _require_nullity(lam: np.ndarray, components: int) -> None:
     """Raise unless a Laplacian spectrum has one zero eigenvalue per component.
 
     A graph can be connected and still numerically disconnected: an edge
     weight too small against the others leaves an extra eigenvalue at or
     below the zero cutoff, and L^+ would silently drop that edge.
     """
+    cutoff = _cutoff(lam)
     mag = np.abs(lam)
     zeros = int(np.count_nonzero(mag <= cutoff))
     if zeros != components:
@@ -85,8 +98,7 @@ class EigenDecomposition:
     @property
     def cutoff(self) -> float:
         """Eigenvalues at or below this magnitude count as exact zeros."""
-        lam = self.eigenvalues
-        return _zero_cutoff(lam.size, float(np.abs(lam).max()) if lam.size else 0.0)
+        return _cutoff(self.eigenvalues)
 
     @property
     def rank(self) -> int:
@@ -96,10 +108,7 @@ class EigenDecomposition:
     def pinv(self) -> np.ndarray:
         """Moore-Penrose pseudoinverse: eigenvalues above the cutoff are inverted
         and the result is symmetrised, so the Penrose axioms hold to rounding."""
-        lam = self.eigenvalues
-        inv = np.zeros_like(lam)
-        np.divide(1.0, lam, out=inv, where=np.abs(lam) > self.cutoff)
-        out = (self.eigenvectors * inv) @ self.eigenvectors.T
+        out = (self.eigenvectors * _invert_spectrum(self.eigenvalues)) @ self.eigenvectors.T
         return 0.5 * (out + out.T)
 
 
@@ -127,7 +136,7 @@ def _laplacian_pinv(lap, components: int) -> np.ndarray:
     """Dense L^+ of a Laplacian whose graph has ``components`` connected
     components, refused when the eigensolve sees more zero eigenvalues."""
     dec = eig_symmetric(lap)
-    _require_nullity(dec.eigenvalues, dec.cutoff, components)
+    _require_nullity(dec.eigenvalues, components)
     return dec.pinv()
 
 
@@ -142,7 +151,7 @@ def rank(a) -> int:
     if arr.size == 0:
         return 0
     s = np.linalg.svd(arr, compute_uv=False)
-    return int(np.count_nonzero(s > _zero_cutoff(max(arr.shape), float(s.max()))))
+    return int(np.count_nonzero(s > _cutoff(s, max(arr.shape))))
 
 
 def nullspace_oracle(a) -> np.ndarray:
@@ -157,7 +166,7 @@ def nullspace_oracle(a) -> np.ndarray:
     if rows == 0:
         return np.eye(cols)
     _, s, vt = np.linalg.svd(arr, full_matrices=True)
-    r = int(np.count_nonzero(s > _zero_cutoff(max(rows, cols), float(s.max()))))
+    r = int(np.count_nonzero(s > _cutoff(s, max(rows, cols))))
     return vt[r:].T
 
 
@@ -167,9 +176,7 @@ def orthonormal_range(a) -> np.ndarray:
     if arr.shape[1] == 0:
         return np.zeros((arr.shape[0], 0))
     u, s, _ = np.linalg.svd(arr, full_matrices=False)
-    if s.size == 0:
-        return np.zeros((arr.shape[0], 0))
-    return u[:, s > _zero_cutoff(max(arr.shape), float(s.max()))]
+    return u[:, s > _cutoff(s, max(arr.shape))]
 
 
 def column_space_equal(a, b) -> bool:
@@ -190,6 +197,13 @@ def column_space_equal(a, b) -> bool:
     res_a = float(np.abs(qa - qb @ (qb.T @ qa)).max())
     res_b = float(np.abs(qb - qa @ (qa.T @ qb)).max())
     return max(res_a, res_b) <= SUBSPACE_TOL
+
+
+def _centring_residual(lap: np.ndarray, l_pinv: np.ndarray) -> float:
+    """|L L^+ - (I - 11^T/n)|_max: on a connected graph L L^+ is the
+    centring projection."""
+    n = lap.shape[0]
+    return float(np.abs(lap @ l_pinv - (np.eye(n) - np.ones((n, n)) / n)).max())
 
 
 def mpp_axiom_residuals(a, a_pinv) -> dict[str, float]:

@@ -85,6 +85,15 @@ def structured_sparsity_check(c, tol: float = ZERO_TEST_TOL) -> bool:
     return abs(float(vec.sum())) <= tol * float(np.abs(vec).sum())
 
 
+def _connected_pinv(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """L and the guarded L^+ of a graph the knot and complete-graph
+    identities are stated for: a connected one."""
+    if connected_components(g) != 1:
+        raise ValueError("identity stated for connected graphs")
+    lap = laplacian(g)
+    return lap, _laplacian_pinv(lap, 1)
+
+
 def edge_knot_residual(g: Graph) -> float:
     """Max-norm residual of  L (L^+ S^T) = S^T.
 
@@ -92,11 +101,10 @@ def edge_knot_residual(g: Graph) -> float:
     incidence operator); applying L must return the two-point columns of
     S^T, which pins each atom's discontinuities to its edge's endpoints.
     """
-    if connected_components(g) != 1:
-        raise ValueError("identity stated for connected graphs")
-    lap = laplacian(g)
+    lap, l_pinv = _connected_pinv(g)
     # L (L^+ S^T) - S^T = M S^T with M = L L^+ - I, whose transpose is L^+ L - I
-    m_t = _laplacian_pinv(lap, 1) @ lap
+    m_t = l_pinv @ lap
+    del l_pinv  # freed before the edge gather
     m_t[np.diag_indices_from(m_t)] -= 1.0
     return _max_abs_times_incidence_t(m_t, g)
 
@@ -131,13 +139,10 @@ def two_hop_knot_check(g: Graph, j: int) -> tuple[float, bool | None]:
     <= 2 the squared Laplacian has no structural zeros, the atom is not
     sparse with respect to it, and knot_match is None (not applicable).
     """
-    if connected_components(g) != 1:
-        raise ValueError("identity stated for connected graphs")
     if j < 0 or j >= g.n:
         raise ValueError(f"vertex {j} out of range for n={g.n}")
-    lap = laplacian(g)
+    lap, l_pinv = _connected_pinv(g)
     lap2 = lap @ lap
-    l_pinv = _laplacian_pinv(lap, 1)
     prod = lap2 @ l_pinv
     prod -= lap
     residual = float(np.abs(prod, out=prod).max())
@@ -204,7 +209,10 @@ def piecewise_degree_profile(x, annihilator_order: int = 2) -> PiecewiseProfile:
     spread across every vertex.  Segment degrees are fitted with plain
     one-sided differences inside each run between consecutive knots.
     """
-    return _profile(_require_finite(x, "signal"), annihilator_order)
+    vec = _require_finite(x, "signal")
+    if vec.size == 0:
+        raise ValueError("signal is empty: there is nothing to profile")
+    return _profile(vec, annihilator_order)
 
 
 def _profile(vec: np.ndarray, order: int) -> PiecewiseProfile:
@@ -340,8 +348,7 @@ def complete_graph_identities(n: int) -> tuple[float, float]:
     the identity on the zero-sum subspace.
     """
     g = complete_graph(n)
-    lap = laplacian(g)
-    l_pinv = _laplacian_pinv(lap, 1)
+    lap, l_pinv = _connected_pinv(g)
     # S^+ - S^T / n = (L^+ - I / n) S^T, a symmetric matrix times S^T
     residual_s = _max_abs_times_incidence_t(l_pinv - np.eye(n) / n, g)
     residual_l = float(np.abs(l_pinv - lap / float(n * n)).max())

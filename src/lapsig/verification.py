@@ -109,7 +109,7 @@ def mpp_axiom_suite(seed: int = 42, graph_count: int = 50) -> SuiteResult:
         rel = _worst(*axioms.values()) / scale
         check.bound("max_axiom_residual_rel", rel, AXIOM_RTOL,
                     f"penrose axiom residual {rel:.3e} on n={n}")
-        proj = float(np.abs(lap @ l_pinv - (np.eye(n) - np.ones((n, n)) / n)).max())
+        proj = linalg._centring_residual(lap, l_pinv)
         check.bound("max_projection_residual", proj, PROJECTION_TOL,
                     f"projection residual {proj:.3e} on n={n}")
         check(graphs.khop_localization_check(g, 2), f"L^2 not zero beyond 2 hops on n={n}")

@@ -248,6 +248,12 @@ class TestUniqueness:
         with pytest.raises(ValueError, match="trials"):
             randomized_uniqueness_check(cycle_graph(6), 4, 4, trials=trials)
 
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_probe_without_measurements_is_refused(self, m):
+        # m = 0 would run every trial and report min_gap 0.0
+        with pytest.raises(ValueError, match="measurement count"):
+            randomized_uniqueness_check(cycle_graph(6), 4, m)
+
 
 class TestSpark:
     def test_closed_form_values(self):

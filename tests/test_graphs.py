@@ -280,7 +280,15 @@ class TestSerialisation:
 
     def test_edge_list_roundtrip(self):
         g = Graph(4, ((0, 1, 1.25), (1, 3, 2.0)))
-        assert parse_edge_list(format_edge_list(g), n=4) == g
+        assert parse_edge_list(format_edge_list(g)) == g
+
+    def test_edge_list_keeps_isolated_last_vertex(self):
+        # the "# n=N" header, not the largest endpoint, gives the vertex count
+        g = Graph(5, ((0, 1), (1, 2), (2, 3)))
+        assert parse_edge_list(format_edge_list(g)) == g
+        assert parse_edge_list("# n=4\n").n == 4
+        with pytest.raises(ValueError, match="out of range"):
+            parse_edge_list("# n=3\n0 3\n")
 
     def test_edge_list_parsing(self):
         text = "# a comment\n0 1 2.0\n1 2   # trailing comment, unit weight\n\n"
