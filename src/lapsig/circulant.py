@@ -17,7 +17,7 @@ import numpy as np
 
 from .graphs import CirculantSpec, Graph, _circulant, _circulant_times, _circulant_view
 from .graphs import _laplacian_row, connected_components, laplacian
-from .linalg import ZERO_FLOOR, _invert_spectrum, _laplacian_pinv, _require_finite, _require_nullity
+from .linalg import ZERO_FLOOR, _invert_spectrum, _require_finite, _require_nullity, eig_symmetric
 
 __all__ = [
     "RepresenterPolynomial",
@@ -136,27 +136,57 @@ def laplacian_pinv(g: Graph | CirculantSpec) -> np.ndarray:
     """Moore-Penrose pseudoinverse of a graph Laplacian, refused when the
     graph is numerically disconnected.
 
-    The one place that decides how L^+ is formed.  A Graph takes the dense
-    eigensolve.  A circulant spec needs none: the DFT diagonalises every
-    circulant, so the Laplacian's eigenvalues are the DFT of its first row;
-    those at or below the zero cutoff the dense eigensolve uses count as
-    zero, the rest are inverted, and L^+ is the circulant whose first row is
-    the inverse DFT of those reciprocals.  Any graph is accepted, the wrap
-    hop n/2 and disconnected ones included; a zero count that differs from
-    the component count (a weight too small against the others) raises
-    ValueError.
+    The one place that decides how L^+ is formed, from the Laplacian alone.
+    A circulant needs no eigensolve: the DFT diagonalises it, so the
+    Laplacian's eigenvalues are the DFT of its first row; those at or below
+    the zero cutoff the dense eigensolve uses count as zero, the rest are
+    inverted, and L^+ is the circulant whose first row is the inverse DFT
+    of those reciprocals.  A circulant spec always takes this rule.  So does
+    a Graph whose dense Laplacian is exactly (bit for bit) the circulant of
+    its own first row, as the compiled unit- and integer-weight circulants,
+    cycles and complete graphs are; any other Graph takes the dense
+    eigensolve.  Any graph is accepted, the wrap hop n/2 and disconnected
+    ones included; a zero count that differs from the component count (a
+    weight too small against the others) raises ValueError.
     """
     if isinstance(g, Graph):
-        return _laplacian_pinv(laplacian(g), connected_components(g))
+        return _dense_pinv(laplacian(g), connected_components(g))
     return _circulant(_pinv_row(g))
 
 
-def _pinv_row(spec: CirculantSpec) -> np.ndarray:
-    """First row of the L^+ of a circulant graph, by ``laplacian_pinv``'s
-    DFT rule and under its nullity guard; every entry of L^+ sits in it."""
-    lam = np.fft.fft(_laplacian_row(spec)).real
-    _require_nullity(lam, connected_components(spec))
+def _dense_pinv(lap: np.ndarray, components: int) -> np.ndarray:
+    """The guarded L^+ of a dense Laplacian with ``components`` connected
+    components: by the DFT rule when ``lap`` is exactly the circulant of its
+    first row, by the eigensolve otherwise.
+
+    The test is exact equality.  Row 1 against row 0 shifted by one rejects
+    almost every other graph in O(n) before the whole matrix is compared.
+    """
+    row = lap[0]
+    if (
+        lap.shape[0] > 1
+        and np.array_equal(lap[1], np.roll(row, 1))
+        and np.array_equal(lap, _circulant_view(row))
+    ):
+        return _circulant(_laplacian_row_pinv(row, components))
+    dec = eig_symmetric(lap)
+    _require_nullity(dec.eigenvalues, components)
+    return dec.pinv()
+
+
+def _laplacian_row_pinv(row: np.ndarray, components: int) -> np.ndarray:
+    """First row of the L^+ of the circulant Laplacian with first row ``row``,
+    by ``laplacian_pinv``'s DFT rule and under its nullity guard; every
+    entry of L^+ sits in it.  A non-finite row (a degree that overflowed)
+    is refused as the eigensolve refuses it."""
+    lam = np.fft.fft(_require_finite(row)).real
+    _require_nullity(lam, components)
     return _inverse_row(_invert_spectrum(lam))
+
+
+def _pinv_row(spec: CirculantSpec) -> np.ndarray:
+    """First row of the L^+ of a circulant graph."""
+    return _laplacian_row_pinv(_laplacian_row(spec), connected_components(spec))
 
 
 def _pinv_columns(g: Graph | CirculantSpec, cols) -> np.ndarray:

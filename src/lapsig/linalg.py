@@ -132,14 +132,6 @@ def eig_symmetric(a) -> EigenDecomposition:
     return EigenDecomposition(w, u)
 
 
-def _laplacian_pinv(lap, components: int) -> np.ndarray:
-    """Dense L^+ of a Laplacian whose graph has ``components`` connected
-    components, refused when the eigensolve sees more zero eigenvalues."""
-    dec = eig_symmetric(lap)
-    _require_nullity(dec.eigenvalues, components)
-    return dec.pinv()
-
-
 def pseudoinverse(a) -> np.ndarray:
     """Moore-Penrose pseudoinverse of a symmetric matrix via eigendecomposition."""
     return eig_symmetric(a).pinv()

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circulant import _cycle_pinv_value, _inverse_row, _invertible_spectrum, _pinv_columns
-from .circulant import _pinv_row, perturbation_factor, pinv_residual_allowance
+from .circulant import _cycle_pinv_value, _dense_pinv, _inverse_row, _invertible_spectrum
+from .circulant import _pinv_columns, _pinv_row, perturbation_factor, pinv_residual_allowance
 from .graphs import (
     CirculantSpec,
     Cosupport,
@@ -26,7 +26,7 @@ from .graphs import (
     connected_components,
     laplacian,
 )
-from .linalg import ZERO_FLOOR, _laplacian_pinv, _require_finite, _require_tolerance
+from .linalg import ZERO_FLOOR, _require_finite, _require_tolerance
 from .analysis import ZERO_TEST_TOL, _annihilated, nullspace_basis
 
 __all__ = [
@@ -91,7 +91,7 @@ def _connected_pinv(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     if connected_components(g) != 1:
         raise ValueError("identity stated for connected graphs")
     lap = laplacian(g)
-    return lap, _laplacian_pinv(lap, 1)
+    return lap, _dense_pinv(lap, 1)
 
 
 def edge_knot_residual(g: Graph) -> float:

@@ -25,7 +25,7 @@ from lapsig.analysis import nullspace_basis
 from lapsig.graphs import CirculantSpec, Cosupport, compile_circulant, connected_components
 from lapsig.graphs import _laplacian_row, laplacian, random_circulant_spec
 from lapsig.linalg import column_space_equal, eig_symmetric, mpp_axiom_residuals, pseudoinverse
-from lapsig.synthesis import cyclic_difference
+from lapsig.synthesis import cyclic_difference, synthesize
 from lapsig.verification import AXIOM_RTOL, SPECTRAL_PINV_RTOL
 
 _WEIGHTS = {
@@ -36,11 +36,11 @@ _WEIGHTS = {
 
 
 @st.composite
-def circulant_specs(draw, n_max=96):
+def circulant_specs(draw, n_max=96, kinds=tuple(sorted(_WEIGHTS))):
     """Any generating set: the wrap hop n/2 and disconnected sets included."""
     n = draw(st.integers(3, n_max))
     hops = sorted(draw(st.sets(st.integers(1, n // 2), min_size=1, max_size=4)))
-    weight = _WEIGHTS[draw(st.sampled_from(sorted(_WEIGHTS)))]
+    weight = _WEIGHTS[draw(st.sampled_from(kinds))]
     return CirculantSpec(n, tuple((h, draw(weight)) for h in hops))
 
 
@@ -300,6 +300,44 @@ class TestLaplacianPinv:
         # the spectrum shows the two components of hop 2 alone
         with pytest.raises(ValueError, match="numerically disconnected.*cutoff"):
             laplacian_pinv(CirculantSpec(6, ((1, 1e-300), (2, 1.0))))
+
+    def test_numerically_disconnected_circulant_graph_is_refused_by_the_dft_guard(
+        self, monkeypatch
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense eigensolve on an exactly circulant Laplacian")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        g = compile_circulant(CirculantSpec(6, ((1, 1e-300), (2, 1.0))))
+        with pytest.raises(ValueError, match="numerically disconnected.*cutoff"):
+            laplacian_pinv(g)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            laplacian_pinv,
+            lambda g: synthesize(g, (0, 3), (1.0, -1.0)),
+            lambda g: nullspace_basis(g, Cosupport.from_support(8, (0, 3))),
+        ],
+        ids=["laplacian_pinv", "synthesize", "nullspace_basis"],
+    )
+    def test_overflowing_degree_is_refused_as_non_finite(self, call):
+        spec = CirculantSpec(8, ((1, 1e308), (2, 1e308)))
+        with np.errstate(over="ignore"):  # the degree 4e308 overflows to inf
+            for g in (spec, compile_circulant(spec)):
+                with pytest.raises(ValueError, match="non-finite entries"):
+                    call(g)
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(circulant_specs(kinds=("integer", "unit")))
+    @example(CirculantSpec(10, ((1, 1.0), (5, 3.0))))
+    def test_compiled_graph_takes_the_dft_rule(self, spec):
+        # unit and integer degrees are exact, so the Laplacian is exactly circulant
+        g = compile_circulant(spec)
+        got = laplacian_pinv(g)
+        np.testing.assert_array_equal(got, laplacian_pinv(spec))
+        dense = pseudoinverse(laplacian(g))
+        assert np.abs(got - dense).max() <= SPECTRAL_PINV_RTOL * max(1.0, np.abs(dense).max())
 
     @settings(max_examples=80, deadline=None, derandomize=True, database=None)
     @given(circulant_specs())

@@ -360,19 +360,8 @@ def test_bad_tol_is_usage_error(tmp_path, capsys, command, tol):
 
 
 class TestInputPath:
-    """A circulant input takes the DFT path; operators and --graph stay dense."""
-
-    @pytest.fixture
-    def eigh_calls(self, monkeypatch):
-        calls = []
-        eigh = np.linalg.eigh
-
-        def counted(a, *args, **kwargs):
-            calls.append(np.shape(a))
-            return eigh(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigh", counted)
-        return calls
+    """A circulant input takes the DFT path; operators and a non-circulant --graph
+    stay dense."""
 
     def test_circulant_commands_skip_the_eigensolve(self, tmp_path, eigh_calls):
         support = ["--support", "21,41"]
@@ -384,11 +373,19 @@ class TestInputPath:
         assert eigh_calls == []
 
     def test_operators_and_graph_inputs_stay_dense(self, tmp_path, eigh_calls):
-        graph = tmp_path / "c4.txt"
-        graph.write_text("0 1\n1 2\n2 3\n0 3\n")
+        # operators needs the eigensolve's rank; a --graph input is routed by
+        # its Laplacian: a path stays dense, the 4-cycle is exactly circulant
+        path = tmp_path / "p4.txt"
+        path.write_text("0 1\n1 2\n2 3\n")
+        cycle = tmp_path / "c4.txt"
+        cycle.write_text("0 1\n1 2\n2 3\n0 3\n")
         assert main(["operators", "--circulant", FOUR_CYCLE, "--out", str(tmp_path / "o")]) == 0
-        assert main(["synth", "--graph", str(graph), "--support", "0,2",
-                     "--out", str(tmp_path / "s")]) == 0
+        assert eigh_calls == [(4, 4)]
+        assert main(["synth", "--graph", str(path), "--support", "0,2",
+                     "--out", str(tmp_path / "p")]) == 0
+        assert eigh_calls == [(4, 4), (4, 4)]
+        assert main(["synth", "--graph", str(cycle), "--support", "0,2",
+                     "--out", str(tmp_path / "c")]) == 0
         assert eigh_calls == [(4, 4), (4, 4)]
 
     def test_spec_paths_form_no_dense_matrix(self, tmp_path, monkeypatch):

@@ -526,6 +526,25 @@ class TestCirculantPath:
         assert model_degree_report(spec, Cosupport.from_support(32, (4, 20))).passed
 
 
+class TestKnotPath:
+    """The knot identities take the DFT L^+ exactly when the Laplacian is circulant."""
+
+    def test_circulant_graph_skips_the_eigensolve(self, eigh_calls):
+        g = compile_circulant(CirculantSpec(64, ((1, 1.0), (2, 3.0), (7, 2.0))))
+        residual, match = two_hop_knot_check(g, 5)
+        assert residual < 1e-9
+        assert match is True
+        assert edge_knot_residual(g) < 1e-9
+        assert eigh_calls == []
+
+    def test_random_graph_takes_one_eigensolve_each(self, eigh_calls):
+        g = random_connected_graph(40, np.random.default_rng(14), extra_edge_prob=0.05)
+        two_hop_knot_check(g, 0)
+        assert eigh_calls == [(40, 40)]
+        edge_knot_residual(g)
+        assert eigh_calls == [(40, 40), (40, 40)]
+
+
 class TestEdgeGather:
     def test_knot_identities_never_build_the_incidence(self, monkeypatch):
         def refuse(*args, **kwargs):
