@@ -150,17 +150,20 @@ def laplacian_pinv(g: Graph | CirculantSpec) -> np.ndarray:
     weight too small against the others) raises ValueError.
     """
     if isinstance(g, Graph):
-        return _dense_pinv(laplacian(g), connected_components(g))
+        pinv, circulant = _dense_pinv(laplacian(g), connected_components(g))
+        return pinv.copy() if circulant else pinv
     return _circulant(_pinv_row(g))
 
 
-def _dense_pinv(lap: np.ndarray, components: int) -> np.ndarray:
+def _dense_pinv(lap: np.ndarray, components: int) -> tuple[np.ndarray, bool]:
     """The guarded L^+ of a dense Laplacian with ``components`` connected
-    components: by the DFT rule when ``lap`` is exactly the circulant of its
-    first row, by the eigensolve otherwise.
+    components, and whether ``lap`` is circulant.
 
-    The test is exact equality.  Row 1 against row 0 shifted by one rejects
-    almost every other graph in O(n) before the whole matrix is compared.
+    When ``lap`` is exactly the circulant of its first row, L^+ comes by the
+    DFT rule as the read-only strided view of its first row, with no n x n
+    array; otherwise it comes from the eigensolve.  The test is exact
+    equality.  Row 1 against row 0 shifted by one rejects almost every other
+    graph in O(n) before the whole matrix is compared.
     """
     row = lap[0]
     if (
@@ -168,10 +171,10 @@ def _dense_pinv(lap: np.ndarray, components: int) -> np.ndarray:
         and np.array_equal(lap[1], np.roll(row, 1))
         and np.array_equal(lap, _circulant_view(row))
     ):
-        return _circulant(_laplacian_row_pinv(row, components))
+        return _circulant_view(_laplacian_row_pinv(row, components)), True
     dec = eig_symmetric(lap)
     _require_nullity(dec.eigenvalues, components)
-    return dec.pinv()
+    return dec.pinv(), False
 
 
 def _laplacian_row_pinv(row: np.ndarray, components: int) -> np.ndarray:

@@ -219,7 +219,8 @@ def _laplacian_row(spec: CirculantSpec) -> np.ndarray:
         row[s] -= d
         if 2 * s != spec.n:
             row[spec.n - s] -= d
-    row[0] = -row.sum()  # the common degree: Laplacian rows sum to zero
+    with np.errstate(over="ignore"):  # an overflowing degree is refused as non-finite later
+        row[0] = -row.sum()  # the common degree: Laplacian rows sum to zero
     return row
 
 
@@ -235,7 +236,8 @@ def laplacian(g: Graph | CirculantSpec) -> np.ndarray:
         return _circulant(_laplacian_row(g))
     a = adjacency(g)
     lap = -a
-    np.fill_diagonal(lap, a.sum(axis=1))
+    with np.errstate(over="ignore"):  # an overflowing degree is refused as non-finite later
+        np.fill_diagonal(lap, a.sum(axis=1))
     return lap
 
 
@@ -317,17 +319,19 @@ def hop_distances(g: Graph) -> np.ndarray:
     return dist
 
 
-def _within_hops(lap: np.ndarray, k: int) -> np.ndarray:
-    """Boolean n x n mask of the vertex pairs at most k >= 1 hops apart.
+def _within_hops(lap: np.ndarray, k: int, cols) -> np.ndarray:
+    """Boolean mask of the vertex pairs at most k >= 1 hops apart, in the
+    columns ``cols`` (an index list, or ``slice(None)`` for all n).
 
-    The pattern of (I + A)^k, taken one hop at a time: each product of 0/1
-    patterns holds counts no larger than n, so the float test is exact.
+    Columns ``cols`` of the pattern of (I + A)^k, taken one hop at a time:
+    each product of 0/1 patterns holds counts no larger than n, so the
+    float test is exact.
     """
     step = (lap != 0.0).astype(float)
     np.fill_diagonal(step, 1.0)
-    reach = step
+    reach = step[:, cols]
     for _ in range(k - 1):
-        reach = reach @ step
+        reach = step @ reach
         np.minimum(reach, 1.0, out=reach)
     return reach > 0.0
 
@@ -338,7 +342,7 @@ def khop_localization_check(g: Graph, k: int) -> bool:
         raise ValueError("hop order k must be >= 1")
     lap = laplacian(g)
     lk = np.linalg.matrix_power(lap, k)
-    far = ~_within_hops(lap, k)
+    far = ~_within_hops(lap, k, slice(None))
     if not far.any():
         return True
     scale = max(float(np.abs(lk).max()), 1.0)

@@ -85,13 +85,17 @@ def structured_sparsity_check(c, tol: float = ZERO_TEST_TOL) -> bool:
     return abs(float(vec.sum())) <= tol * float(np.abs(vec).sum())
 
 
-def _connected_pinv(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+def _connected_pinv(g: Graph) -> tuple[np.ndarray, np.ndarray, list[int] | slice]:
     """L and the guarded L^+ of a graph the knot and complete-graph
-    identities are stated for: a connected one."""
+    identities are stated for, a connected one, and the columns that decide
+    a max over every column of a product of L and L^+: ``[0]`` when L is
+    exactly circulant, where every such column is a cyclic shift of column
+    0 (L^+ is then a read-only strided view), and all of them otherwise."""
     if connected_components(g) != 1:
         raise ValueError("identity stated for connected graphs")
     lap = laplacian(g)
-    return lap, _dense_pinv(lap, 1)
+    l_pinv, circulant = _dense_pinv(lap, 1)
+    return lap, l_pinv, ([0] if circulant else slice(None))
 
 
 def edge_knot_residual(g: Graph) -> float:
@@ -100,28 +104,42 @@ def edge_knot_residual(g: Graph) -> float:
     L^+ S^T collects the edge Green's functions (the pseudoinverse of the
     incidence operator); applying L must return the two-point columns of
     S^T, which pins each atom's discontinuities to its edge's endpoints.
+
+    The residual is M S^T with M = L L^+ - I, and its column for edge
+    (i, j) is sqrt(w) (M[:, i] - M[:, j]).  When L is circulant so is M,
+    and that column is the column of edge (0, j - i) shifted by i; vertex
+    0's edges carry every offset with its weight, so they alone decide the
+    max, and M^T is formed only at the vertices they touch.
     """
-    lap, l_pinv = _connected_pinv(g)
-    # L (L^+ S^T) - S^T = M S^T with M = L L^+ - I, whose transpose is L^+ L - I
-    m_t = l_pinv @ lap
-    del l_pinv  # freed before the edge gather
-    m_t[np.diag_indices_from(m_t)] -= 1.0
-    return _max_abs_times_incidence_t(m_t, g)
+    lap, l_pinv, cols = _connected_pinv(g)
+    ends, roots = _edge_ends(g)
+    keep = np.isin(ends[:, 0], np.arange(g.n)[cols])  # every edge, or vertex 0's
+    verts, ends = np.unique(ends[keep], return_inverse=True)
+    rows = l_pinv[verts]
+    del l_pinv  # freed before the product
+    m_t = rows @ lap  # rows verts of M^T = L^+ L - I
+    m_t[np.arange(verts.size), verts] -= 1.0
+    return _max_abs_times_incidence_t(m_t, ends.reshape(-1, 2), roots[keep])
 
 
-def _max_abs_times_incidence_t(a_t: np.ndarray, g: Graph) -> float:
-    """|A S^T|_max for the incidence S of ``g``, given A^T, with no n x m array.
+def _edge_ends(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """The endpoints (i_e, j_e) of every edge, one row each, and sqrt(w_e)."""
+    edges = np.array(g.edges, dtype=float).reshape(-1, 3)
+    return edges[:, :2].astype(np.intp), np.sqrt(edges[:, 2])
+
+
+def _max_abs_times_incidence_t(a_t: np.ndarray, ends: np.ndarray, roots: np.ndarray) -> float:
+    """|A S^T|_max for the incidence S of the edges whose endpoints index
+    the rows ``ends`` of ``a_t`` = A^T and whose sqrt(w) are ``roots``,
+    with no n x m array.
 
     Row e of S carries +sqrt(w_e) at i_e and -sqrt(w_e) at j_e, so column e
     of A S^T is sqrt(w_e) (A[:, i_e] - A[:, j_e]): rows i_e and j_e of A^T,
-    gathered for a block of edges at a time.  0.0 for a graph with no edges.
+    gathered for a block of edges at a time.  0.0 when there are no edges.
     """
-    edges = np.array(g.edges, dtype=float).reshape(-1, 3)
-    ends = edges[:, :2].astype(np.intp)
-    roots = np.sqrt(edges[:, 2])
-    step = max(1, _EDGE_BLOCK_CELLS // max(g.n, 1))
+    step = max(1, _EDGE_BLOCK_CELLS // max(a_t.shape[1], 1))
     peaks = []
-    for first in range(0, len(edges), step):
+    for first in range(0, len(ends), step):
         part = slice(first, first + step)
         cols = np.take(a_t, ends[part, 0], axis=0)
         cols -= np.take(a_t, ends[part, 1], axis=0)
@@ -138,18 +156,20 @@ def two_hop_knot_check(g: Graph, j: int) -> tuple[float, bool | None]:
     equals the support of Laplacian column j.  When the graph has diameter
     <= 2 the squared Laplacian has no structural zeros, the atom is not
     sparse with respect to it, and knot_match is None (not applicable).
+    Both maxima read only the columns that decide them: when L is circulant
+    every column of L (L L^+) - L and of the two-hop pattern is a cyclic
+    shift of column 0, and L L is never formed.
     """
     if j < 0 or j >= g.n:
         raise ValueError(f"vertex {j} out of range for n={g.n}")
-    lap, l_pinv = _connected_pinv(g)
-    lap2 = lap @ lap
-    prod = lap2 @ l_pinv
-    prod -= lap
+    lap, l_pinv, cols = _connected_pinv(g)
+    prod = lap @ (lap @ l_pinv[:, cols])
+    prod -= lap[:, cols]
     residual = float(np.abs(prod, out=prod).max())
-    del prod  # freed before the pattern test forms its two n x n arrays
-    if _within_hops(lap, 2).all():  # diameter at most 2
+    del prod  # freed before the pattern test forms its n x n arrays
+    if _within_hops(lap, 2, cols).all():  # diameter at most 2
         return residual, None
-    detected = _support(lap2 @ l_pinv[:, j])
+    detected = _support(lap @ (lap @ l_pinv[:, j]))
     return residual, detected == tuple(np.flatnonzero(lap[:, j]).tolist())
 
 
@@ -348,9 +368,9 @@ def complete_graph_identities(n: int) -> tuple[float, float]:
     the identity on the zero-sum subspace.
     """
     g = complete_graph(n)
-    lap, l_pinv = _connected_pinv(g)
+    lap, l_pinv, _ = _connected_pinv(g)
     # S^+ - S^T / n = (L^+ - I / n) S^T, a symmetric matrix times S^T
-    residual_s = _max_abs_times_incidence_t(l_pinv - np.eye(n) / n, g)
+    residual_s = _max_abs_times_incidence_t(l_pinv - np.eye(n) / n, *_edge_ends(g))
     residual_l = float(np.abs(l_pinv - lap / float(n * n)).max())
     return residual_s, residual_l
 

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
+
+from lapsig.graphs import CirculantSpec
 
 
 @pytest.fixture
@@ -16,3 +19,19 @@ def eigh_calls(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
     return calls
+
+
+_WEIGHTS = {
+    "unit": st.just(1.0),
+    "integer": st.integers(1, 5).map(float),
+    "uniform": st.floats(0.5, 2.0),
+}
+
+
+@st.composite
+def circulant_specs(draw, n_max=96, kinds=tuple(sorted(_WEIGHTS))):
+    """Any generating set: the wrap hop n/2 and disconnected sets included."""
+    n = draw(st.integers(3, n_max))
+    hops = sorted(draw(st.sets(st.integers(1, n // 2), min_size=1, max_size=4)))
+    weight = _WEIGHTS[draw(st.sampled_from(kinds))]
+    return CirculantSpec(n, tuple((h, draw(weight)) for h in hops))

@@ -28,20 +28,7 @@ from lapsig.linalg import column_space_equal, eig_symmetric, mpp_axiom_residuals
 from lapsig.synthesis import cyclic_difference, synthesize
 from lapsig.verification import AXIOM_RTOL, SPECTRAL_PINV_RTOL
 
-_WEIGHTS = {
-    "unit": st.just(1.0),
-    "integer": st.integers(1, 5).map(float),
-    "uniform": st.floats(0.5, 2.0),
-}
-
-
-@st.composite
-def circulant_specs(draw, n_max=96, kinds=tuple(sorted(_WEIGHTS))):
-    """Any generating set: the wrap hop n/2 and disconnected sets included."""
-    n = draw(st.integers(3, n_max))
-    hops = sorted(draw(st.sets(st.integers(1, n // 2), min_size=1, max_size=4)))
-    weight = _WEIGHTS[draw(st.sampled_from(kinds))]
-    return CirculantSpec(n, tuple((h, draw(weight)) for h in hops))
+from conftest import circulant_specs
 
 
 def _dense_split(spec):
@@ -322,11 +309,10 @@ class TestLaplacianPinv:
         ids=["laplacian_pinv", "synthesize", "nullspace_basis"],
     )
     def test_overflowing_degree_is_refused_as_non_finite(self, call):
-        spec = CirculantSpec(8, ((1, 1e308), (2, 1e308)))
-        with np.errstate(over="ignore"):  # the degree 4e308 overflows to inf
-            for g in (spec, compile_circulant(spec)):
-                with pytest.raises(ValueError, match="non-finite entries"):
-                    call(g)
+        spec = CirculantSpec(8, ((1, 1e308), (2, 1e308)))  # the degree 4e308 overflows
+        for g in (spec, compile_circulant(spec)):
+            with pytest.raises(ValueError, match="non-finite entries"):
+                call(g)
 
     @settings(max_examples=80, deadline=None, derandomize=True, database=None)
     @given(circulant_specs(kinds=("integer", "unit")))
@@ -335,6 +321,7 @@ class TestLaplacianPinv:
         # unit and integer degrees are exact, so the Laplacian is exactly circulant
         g = compile_circulant(spec)
         got = laplacian_pinv(g)
+        assert got.flags.writeable  # a dense copy, not the chooser's strided view
         np.testing.assert_array_equal(got, laplacian_pinv(spec))
         dense = pseudoinverse(laplacian(g))
         assert np.abs(got - dense).max() <= SPECTRAL_PINV_RTOL * max(1.0, np.abs(dense).max())

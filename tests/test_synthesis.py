@@ -38,6 +38,8 @@ from lapsig.synthesis import (
     two_hop_knot_check,
 )
 
+from conftest import circulant_specs
+
 
 class TestSynthesize:
     def test_zero_coefficients(self):
@@ -159,7 +161,7 @@ class TestEdgeKnotResidual:
         # the residual itself is rounding noise; on a random A the weights show
         a = rng.standard_normal((3, n))
         dense_a = float(np.abs(a @ st_mat).max())
-        gathered = synthesis._max_abs_times_incidence_t(a.T.copy(), g)
+        gathered = synthesis._max_abs_times_incidence_t(a.T.copy(), *synthesis._edge_ends(g))
         assert abs(gathered - dense_a) <= 1e-12 * root_max * max(1.0, dense_a)
 
 
@@ -529,20 +531,100 @@ class TestCirculantPath:
 class TestKnotPath:
     """The knot identities take the DFT L^+ exactly when the Laplacian is circulant."""
 
-    def test_circulant_graph_skips_the_eigensolve(self, eigh_calls):
+    def test_circulant_graph_skips_the_eigensolve(self, eigh_calls, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("n x n L^+ of a circulant Graph")
+
+        monkeypatch.setattr(circulant, "_circulant", refuse)
+        monkeypatch.setattr(circulant, "eig_symmetric", refuse)
+        products = _record_laplacian_products(monkeypatch)
         g = compile_circulant(CirculantSpec(64, ((1, 1.0), (2, 3.0), (7, 2.0))))
         residual, match = two_hop_knot_check(g, 5)
         assert residual < 1e-9
         assert match is True
         assert edge_knot_residual(g) < 1e-9
         assert eigh_calls == []
+        assert products and ((64, 64), (64, 64)) not in products  # no n^3 product
 
-    def test_random_graph_takes_one_eigensolve_each(self, eigh_calls):
+    def test_random_graph_takes_one_eigensolve_each(self, eigh_calls, monkeypatch):
+        products = _record_laplacian_products(monkeypatch)
         g = random_connected_graph(40, np.random.default_rng(14), extra_edge_prob=0.05)
         two_hop_knot_check(g, 0)
         assert eigh_calls == [(40, 40)]
+        assert products.count(((40, 40), (40, 40))) == 2
         edge_knot_residual(g)
         assert eigh_calls == [(40, 40), (40, 40)]
+        assert products.count(((40, 40), (40, 40))) == 3
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        g=circulant_specs(kinds=("integer", "unit"))
+        .filter(lambda spec: graphs.connected_components(spec) == 1)
+        .map(compile_circulant),
+        j=st.integers(0, 10**6),
+    )
+    @example(g=compile_circulant(CirculantSpec(10, ((1, 1.0), (5, 3.0)))), j=3)
+    @example(g=compile_circulant(CirculantSpec(12, ((2, 2.0), (5, 1.0), (6, 4.0)))), j=7)
+    @example(g=complete_graph(7), j=4)
+    @example(g=cycle_graph(9), j=2)
+    def test_circulant_graph_agrees_with_the_dense_oracle(self, g, j):
+        # every column, with the eigensolve L^+ and the dense incidence
+        j %= g.n
+        lap = laplacian(g)
+        pinv = pseudoinverse(lap)
+        st_mat = incidence(g).T
+        residual, match = two_hop_knot_check(g, j)
+        dense = float(np.abs(lap @ lap @ pinv - lap).max())
+        assert abs(residual - dense) <= 1e-12 * max(1.0, float(np.abs(lap).max()) ** 2)
+        if hop_distances(g).max() <= 2:
+            assert match is None
+        else:
+            detected = synthesis._support(lap @ lap @ pinv[:, j])
+            assert match is (detected == tuple(np.flatnonzero(lap[:, j]).tolist()))
+        root_max = max(1.0, float(np.sqrt(max(w for *_, w in g.edges))))
+        dense_edge = float(np.abs(lap @ (pinv @ st_mat) - st_mat).max())
+        assert abs(edge_knot_residual(g) - dense_edge) <= 1e-12 * root_max
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        g=circulant_specs(n_max=48, kinds=("integer", "unit"))
+        .filter(lambda spec: graphs.connected_components(spec) == 1)
+        .map(compile_circulant),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(g=compile_circulant(CirculantSpec(12, ((2, 2.0), (5, 1.0), (6, 4.0)))), seed=0)
+    def test_column_zero_decides_for_any_symmetric_circulant(self, g, seed):
+        # L^+ swapped for a random symmetric circulant: the residuals are no
+        # longer rounding noise, so a column or edge left out would show
+        rng = np.random.default_rng(seed)
+        row = rng.standard_normal(g.n)
+        row = 0.5 * (row + np.roll(row[::-1], 1))
+        lap = laplacian(g)
+        pinv = graphs._circulant(row)
+        st_mat = incidence(g).T
+        dense = float(np.abs(lap @ lap @ pinv - lap).max())
+        dense_edge = float(np.abs(lap @ (pinv @ st_mat) - st_mat).max())
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(synthesis, "_dense_pinv",
+                          lambda lap, components: (graphs._circulant_view(row), True))
+            assert two_hop_knot_check(g, 0)[0] == pytest.approx(dense, rel=1e-12)
+            assert edge_knot_residual(g) == pytest.approx(dense_edge, rel=1e-12)
+
+
+def _record_laplacian_products(monkeypatch) -> list:
+    """Operand shapes of every product the knot identities take with their Laplacian."""
+    products = []
+
+    class Recorded(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            arrays = [np.asarray(x) for x in inputs]
+            if ufunc is np.matmul:
+                products.append(tuple(a.shape for a in arrays))
+            return getattr(ufunc, method)(*arrays, **kwargs)
+
+    build = synthesis.laplacian
+    monkeypatch.setattr(synthesis, "laplacian", lambda g: build(g).view(Recorded))
+    return products
 
 
 class TestEdgeGather:
