@@ -17,7 +17,8 @@ import numpy as np
 
 from .graphs import CirculantSpec, Graph, _circulant, _circulant_times, _circulant_view
 from .graphs import _laplacian_row, connected_components, laplacian
-from .linalg import ZERO_FLOOR, _invert_spectrum, _require_finite, _require_nullity, eig_symmetric
+from .linalg import _EPS, ZERO_FLOOR, _invert_spectrum, _require_finite, _require_nullity
+from .linalg import eig_symmetric
 
 __all__ = [
     "RepresenterPolynomial",
@@ -35,6 +36,8 @@ __all__ = [
 
 ROW_SYM_RTOL = 1e-10  # |row - mirrored row| allowed, relative to max(|row|_max, 1)
 PINV_RESIDUAL_RTOL = 1e-8  # pinv_factorization residual, relative to max(|L^+|_max, 1)
+CERTIFICATE_MARGIN = 8.0  # certificate shift c = CERTIFICATE_MARGIN (n + 1)^2 eps s
+_TINY, _HUGE = float(np.finfo(float).tiny), float(np.finfo(float).max)
 
 
 def _inverse_row(recip: np.ndarray) -> np.ndarray:
@@ -136,18 +139,29 @@ def laplacian_pinv(g: Graph | CirculantSpec) -> np.ndarray:
     """Moore-Penrose pseudoinverse of a graph Laplacian, refused when the
     graph is numerically disconnected.
 
-    The one place that decides how L^+ is formed, from the Laplacian alone.
-    A circulant needs no eigensolve: the DFT diagonalises it, so the
-    Laplacian's eigenvalues are the DFT of its first row; those at or below
-    the zero cutoff the dense eigensolve uses count as zero, the rest are
-    inverted, and L^+ is the circulant whose first row is the inverse DFT
-    of those reciprocals.  A circulant spec always takes this rule.  So does
-    a Graph whose dense Laplacian is exactly (bit for bit) the circulant of
-    its own first row, as the compiled unit- and integer-weight circulants,
-    cycles and complete graphs are; any other Graph takes the dense
-    eigensolve.  Any graph is accepted, the wrap hop n/2 and disconnected
-    ones included; a zero count that differs from the component count (a
-    weight too small against the others) raises ValueError.
+    The one place that decides how L^+ is formed, from the Laplacian alone,
+    in three steps:
+
+    1. A circulant needs no factorisation: the DFT diagonalises it, so the
+       Laplacian's eigenvalues are the DFT of its first row; those at or
+       below the zero cutoff the dense eigensolve uses count as zero, the
+       rest are inverted, and L^+ is the circulant whose first row is the
+       inverse DFT of those reciprocals.  A circulant spec always takes this
+       rule.  So does a Graph whose dense Laplacian is exactly (bit for bit)
+       the circulant of its own first row, as the compiled unit- and
+       integer-weight circulants, cycles and complete graphs are.
+    2. Any other connected Graph takes one linear solve,
+       L^+ = (L + (s/n) 11^T)^{-1} - 11^T/(s n) with s the largest degree,
+       once a Cholesky of the shifted matrix minus a margin certifies that
+       the eigensolve would count exactly one zero eigenvalue (see
+       ``_certified_pinv``).
+    3. Everything else, a failed certificate included, takes the dense
+       eigensolve under the nullity guard.
+
+    Any graph is accepted, the wrap hop n/2 and disconnected ones included;
+    a zero count that differs from the component count (a weight too small
+    against the others) raises ValueError, and so does a non-finite
+    Laplacian.
     """
     if isinstance(g, Graph):
         pinv, circulant = _dense_pinv(laplacian(g), connected_components(g))
@@ -155,15 +169,20 @@ def laplacian_pinv(g: Graph | CirculantSpec) -> np.ndarray:
     return _circulant(_pinv_row(g))
 
 
-def _dense_pinv(lap: np.ndarray, components: int) -> tuple[np.ndarray, bool]:
-    """The guarded L^+ of a dense Laplacian with ``components`` connected
-    components, and whether ``lap`` is circulant.
+def _dense_pinv(lap: np.ndarray, components: int, cols=None) -> tuple[np.ndarray, bool]:
+    """Columns ``cols`` (all by default) of the guarded L^+ of a dense
+    Laplacian with ``components`` connected components, and whether ``lap``
+    is circulant: ``laplacian_pinv``'s three-way choice.
 
     When ``lap`` is exactly the circulant of its first row, L^+ comes by the
     DFT rule as the read-only strided view of its first row, with no n x n
-    array; otherwise it comes from the eigensolve.  The test is exact
-    equality.  Row 1 against row 0 shifted by one rejects almost every other
-    graph in O(n) before the whole matrix is compared.
+    array (a copy of its columns when ``cols`` is given).  The test is exact
+    equality; row 1 against row 0 shifted by one rejects almost every other
+    graph in O(n) before the whole matrix is compared.  A non-finite
+    Laplacian is refused next, with the eigensolve's message.  A connected
+    one then takes ``_certified_pinv``'s solve for only the requested
+    columns.  A disconnected one, or one whose certificate fails, takes the
+    eigensolve and its nullity guard.
     """
     row = lap[0]
     if (
@@ -171,10 +190,85 @@ def _dense_pinv(lap: np.ndarray, components: int) -> tuple[np.ndarray, bool]:
         and np.array_equal(lap[1], np.roll(row, 1))
         and np.array_equal(lap, _circulant_view(row))
     ):
-        return _circulant_view(_laplacian_row_pinv(row, components)), True
-    dec = eig_symmetric(lap)
-    _require_nullity(dec.eigenvalues, components)
-    return dec.pinv(), False
+        pinv = _circulant_view(_laplacian_row_pinv(row, components))
+        return (pinv if cols is None else pinv[:, cols]), True
+    _require_finite(lap)
+    pinv = _certified_pinv(lap, cols) if components == 1 else None
+    if pinv is None:
+        dec = eig_symmetric(lap)
+        _require_nullity(dec.eigenvalues, components)
+        pinv = dec.pinv() if cols is None else dec.pinv()[:, cols]
+    return pinv, False
+
+
+def _certified_pinv(lap: np.ndarray, cols=None) -> np.ndarray | None:
+    """Columns ``cols`` (all by default) of the L^+ of a connected graph's
+    finite Laplacian by one linear solve, or None when the certificate fails.
+
+    With s the largest degree, A = L + (s/n) 11^T maps 1 to s 1 and acts as
+    L on the zero-sum vectors, so L^+ = A^{-1} - 11^T/(s n) (Ghosh, Boyd &
+    Saberi, SIAM Review 50, 2008).  The result is
+    ``np.linalg.solve(A, E) - 1/(s n)``, E the requested columns of the
+    identity; for all columns ``np.linalg.inv(A)``, which solves against
+    the identity it builds itself, gives the same bits with no n x n E.  It
+    is not symmetrised: a column solved alone then has the bits of the same
+    column of the full solve (every size tried up to n = 384 with OpenBLAS
+    0.3.31; some larger sizes differ in the last bits).
+
+    The certificate is that ``np.linalg.cholesky(A - cI)`` succeeds, with
+    the margin c = CERTIFICATE_MARGIN (n + 1)^2 eps s.  Once it does, the
+    eigensolve guard of ``_dense_pinv`` would count no zero eigenvalue
+    besides the one on 1, so a passed certificate never takes a graph the
+    guard refuses; a margin too large only sends graphs to the eigensolve.
+    With eps = 2^-52 (twice the unit roundoff) and lambda_2 the smallest
+    eigenvalue of L on the zero-sum vectors:
+
+    * Gershgorin bounds lambda_max(L) by 2s, so ||A||_2 <= 2s, and the
+      eigensolve's zero cutoff n eps max|lambda| is at most
+      2 n eps s (1 + n^2 eps);
+    * A's eigenvalues are s and those of L on the zero-sum vectors, so
+      lambda_min(A) <= lambda_2;
+    * forming A - cI rounds each entry by at most 3 eps s: 3 n eps s in the
+      2-norm;
+    * a Cholesky that runs to completion is exact for a matrix within
+      gamma_{n+1} |R^T| |R| of the one it was given (Higham, Accuracy and
+      Stability of Numerical Algorithms, 2nd ed., ch. 10), at most
+      n (n + 1) eps s (1 + O(n^2 eps)) in the 2-norm, since
+      || |R^T| |R| ||_2 <= n ||R||_2^2;  so lambda_2 >= lambda_min(A)
+      > c - 3 n eps s - n (n + 1) eps s (1 + O(n^2 eps));
+    * the eigensolve is backward stable: its eigenvalues sit within
+      n^2 eps ||L||_2 <= 2 n^2 eps s of L's (a worst-case bound for
+      Householder tridiagonalisation), so it counts lambda_2 as nonzero once
+      lambda_2 > 2 n^2 eps s + 2 n eps s (1 + n^2 eps).
+
+    The first-order terms sum to (3 n^2 + 6 n) eps s; c = 8 (n + 1)^2 eps s
+    is more than twice that, which covers the O(n^4 eps^2) s terms for any
+    n a dense matrix can have.  That the eigenvalue on 1 counts as zero is
+    the eigensolve's own accuracy, as ``linalg`` states it.  The bounds
+    assume no underflow or overflow, so a margin below the smallest normal
+    float, or 2s above the largest, leaves the choice to the eigensolve.
+    """
+    n = lap.shape[0]
+    s = float(lap.diagonal().max())
+    margin = CERTIFICATE_MARGIN * (n + 1) ** 2 * _EPS * s
+    if not (margin >= _TINY and 2.0 * s <= _HUGE):
+        return None
+    a = lap + s / n
+    diag = a.diagonal().copy()
+    np.fill_diagonal(a, diag - margin)
+    try:
+        np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return None
+    np.fill_diagonal(a, diag)
+    if cols is None:
+        pinv = np.linalg.inv(a)
+    else:
+        rhs = np.zeros((n, len(cols)))
+        rhs[cols, np.arange(len(cols))] = 1.0
+        pinv = np.linalg.solve(a, rhs)
+    pinv -= 1.0 / (s * n)
+    return pinv
 
 
 def _laplacian_row_pinv(row: np.ndarray, components: int) -> np.ndarray:
@@ -195,9 +289,12 @@ def _pinv_row(spec: CirculantSpec) -> np.ndarray:
 def _pinv_columns(g: Graph | CirculantSpec, cols) -> np.ndarray:
     """Columns ``cols`` of ``laplacian_pinv(g)``, C-contiguous; a spec
     gathers them from the strided view of its first row and forms no n x n
-    matrix."""
-    pinv = laplacian_pinv(g) if isinstance(g, Graph) else _circulant_view(_pinv_row(g))
-    return np.ascontiguousarray(pinv[:, cols])
+    matrix, and a Graph takes ``_dense_pinv``'s choice for those columns."""
+    if isinstance(g, Graph):
+        pinv = _dense_pinv(laplacian(g), connected_components(g), cols)[0]
+    else:
+        pinv = _circulant_view(_pinv_row(g))[:, cols]
+    return np.ascontiguousarray(pinv)
 
 
 def poly_multiply_mod(

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import ZERO_TEST_TOL, _annihilated, cosparsity, nullspace_basis
-from .circulant import _pinv_columns
+from .circulant import _dense_pinv, _pinv_columns
 from .graphs import (
     CirculantSpec,
     Cosupport,
@@ -34,7 +34,7 @@ from .graphs import (
     laplacian,
     parse_edge_list,
 )
-from .linalg import _centring_residual, _csv_blocks, eig_symmetric, mpp_axiom_residuals, rank
+from .linalg import _centring_residual, _csv_blocks, _penrose_residuals, eig_symmetric, rank
 from .linalg import save_matrix_csv
 from .svgplot import line_plot_svg
 from .synthesis import structured_sparsity_check, synthesize
@@ -103,28 +103,53 @@ def _write_indexed_csv(path: Path, *columns) -> None:
 # ----------------------------------------------------------------------
 
 
+def _operator_pinv(lap: np.ndarray, components: int) -> tuple[np.ndarray, int]:
+    """The L^+ ``operators`` writes and the rank it reports (see ``cmd_operators``)."""
+    if components == 1:
+        try:
+            return np.ascontiguousarray(_dense_pinv(lap, 1)[0]), lap.shape[0] - 1
+        except ValueError:  # the eigensolve below refuses a non-finite L as well
+            pass
+    dec = eig_symmetric(lap)
+    return dec.pinv(), dec.rank
+
+
 def cmd_operators(args) -> int:
+    """Write L, S, L^+ and S^+ = L^+ S^T as CSV, and report.json with the
+    rank, the component count, the centring residual |L L^+ - (I - 11^T/n)|_max
+    of a connected graph and the Penrose residuals (one product L L^+ serves
+    both).
+
+    A connected graph's L^+ is the library's three-way choice (see
+    ``laplacian_pinv``): the DFT rule for an exactly circulant Laplacian,
+    the Cholesky-certified solve for any other, whose margin puts every
+    eigenvalue but one above the eigensolve's zero cutoff, and the guarded
+    eigensolve when the certificate fails.  Its rank is then n - 1.  A
+    disconnected graph, or one that guard calls numerically disconnected,
+    gets the unguarded eigensolve and the rank it counts, so a mismatch
+    with ``components`` shows in the report.
+    """
     g = _load_graph(args)
     if isinstance(g, CirculantSpec):
         g = compile_circulant(g)  # S needs the edge list
     out = _out_dir(args)
     lap = laplacian(g)
     inc = incidence(g)
-    dec = eig_symmetric(lap)
-    l_pinv = dec.pinv()
+    comps = connected_components(g)
+    l_pinv, lap_rank = _operator_pinv(lap, comps)
     s_pinv = l_pinv @ inc.T
     save_matrix_csv(out / "L.csv", lap)
     save_matrix_csv(out / "S.csv", inc)
     save_matrix_csv(out / "Lpinv.csv", l_pinv)
     save_matrix_csv(out / "Spinv.csv", s_pinv)
-    comps = connected_components(g)
+    prod = lap @ l_pinv
     report = {
         "n": g.n,
         "edges": g.num_edges,
-        "rank": dec.rank,
+        "rank": lap_rank,
         "components": comps,
-        "projection_residual": _centring_residual(lap, l_pinv) if comps == 1 else None,
-        "mpp_axiom_residuals": mpp_axiom_residuals(lap, l_pinv),
+        "projection_residual": _centring_residual(prod) if comps == 1 else None,
+        "mpp_axiom_residuals": _penrose_residuals(lap, l_pinv, prod),
     }
     _write_json(out / "report.json", report)
     print(f"wrote L, S, Lpinv, Spinv and report.json for n={g.n} to {out}")

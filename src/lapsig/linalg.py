@@ -191,18 +191,22 @@ def column_space_equal(a, b) -> bool:
     return max(res_a, res_b) <= SUBSPACE_TOL
 
 
-def _centring_residual(lap: np.ndarray, l_pinv: np.ndarray) -> float:
-    """|L L^+ - (I - 11^T/n)|_max: on a connected graph L L^+ is the
-    centring projection."""
-    n = lap.shape[0]
-    return float(np.abs(lap @ l_pinv - (np.eye(n) - np.ones((n, n)) / n)).max())
+def _centring_residual(prod: np.ndarray) -> float:
+    """|L L^+ - (I - 11^T/n)|_max from the product ``prod`` = L L^+: on a
+    connected graph L L^+ is the centring projection."""
+    n = prod.shape[0]
+    return float(np.abs(prod - (np.eye(n) - np.ones((n, n)) / n)).max())
 
 
 def mpp_axiom_residuals(a, a_pinv) -> dict[str, float]:
     """Max-norm residuals of the four Penrose axioms for a candidate pseudoinverse."""
     arr = _require_finite(a)
     pinv = _require_finite(a_pinv, "pseudoinverse")
-    prod_ap = arr @ pinv
+    return _penrose_residuals(arr, pinv, arr @ pinv)
+
+
+def _penrose_residuals(arr: np.ndarray, pinv: np.ndarray, prod_ap: np.ndarray) -> dict[str, float]:
+    """``mpp_axiom_residuals`` of finite arrays, given ``prod_ap`` = arr @ pinv."""
     prod_pa = pinv @ arr
     return {
         "reconstruct": float(np.abs(prod_ap @ arr - arr).max()),

@@ -37,6 +37,7 @@ PROJECTION_TOL = 1e-9  # |L L^+ - (I - 11^T/n)|_max
 PRODUCT_TOL = 1e-12  # |P L_C - L|_max for real weights; integer weights must hit 0
 INVERSE_RTOL = 1e-10  # dense vs transform inverse, relative to max(|P^-1|_max, 1)
 SPECTRAL_PINV_RTOL = 1e-10  # DFT vs eigensolve L^+, relative to max(|L^+|_max, 1)
+LIBRARY_PINV_RTOL = 1e-10  # laplacian_pinv vs eigensolve L^+, relative to max(|L^+|_max, 1)
 CYCLE_PINV_TOL = 1e-9  # closed-form vs eigensolve cycle pseudoinverse
 COMPLETE_GRAPH_TOL = 1e-10  # complete-graph closed-form residuals
 MPP_MAX_N, NULLSPACE_MAX_N, CLOSURE_MAX_N, COMPLETE_GRAPH_MAX_N = 64, 24, 20, 32
@@ -94,24 +95,32 @@ class _Checks:
 
 
 def mpp_axiom_suite(seed: int = 42, graph_count: int = 50) -> SuiteResult:
-    """Penrose axioms, centring projection and two-hop L^2 localisation on random graphs."""
+    """Penrose axioms and centring projection of the library's L^+
+    (``laplacian_pinv``, the certified solve on these graphs), its distance
+    to the eigensolve L^+ (the oracle), and two-hop L^2 localisation on
+    random graphs."""
     rng = np.random.default_rng(seed)
     details: dict = {"graphs": graph_count, "axiom_rtol": AXIOM_RTOL,
-                     "projection_tol": PROJECTION_TOL}
+                     "projection_tol": PROJECTION_TOL, "library_pinv_rtol": LIBRARY_PINV_RTOL}
     check = _Checks("mpp_axioms", details)
     for _ in range(graph_count):
         n = int(rng.integers(3, MPP_MAX_N + 1))
         g = graphs.random_connected_graph(n, rng)
         lap = graphs.laplacian(g)
-        l_pinv = linalg.pseudoinverse(lap)
+        l_pinv = circulant.laplacian_pinv(g)
         scale = max(1.0, float(np.abs(lap).max()))
-        axioms = linalg.mpp_axiom_residuals(lap, l_pinv)
+        prod = lap @ l_pinv
+        axioms = linalg._penrose_residuals(lap, l_pinv, prod)
         rel = _worst(*axioms.values()) / scale
         check.bound("max_axiom_residual_rel", rel, AXIOM_RTOL,
                     f"penrose axiom residual {rel:.3e} on n={n}")
-        proj = linalg._centring_residual(lap, l_pinv)
+        proj = linalg._centring_residual(prod)
         check.bound("max_projection_residual", proj, PROJECTION_TOL,
                     f"projection residual {proj:.3e} on n={n}")
+        oracle = linalg.pseudoinverse(lap)
+        gap = float(np.abs(l_pinv - oracle).max()) / max(1.0, float(np.abs(oracle).max()))
+        check.bound("max_library_pinv_gap_rel", gap, LIBRARY_PINV_RTOL,
+                    f"library vs eigensolve L^+ gap {gap:.3e} on n={n}")
         check(graphs.khop_localization_check(g, 2), f"L^2 not zero beyond 2 hops on n={n}")
     return check.result()
 

@@ -7,18 +7,30 @@ from hypothesis import strategies as st
 from lapsig.graphs import CirculantSpec
 
 
-@pytest.fixture
-def eigh_calls(monkeypatch):
-    """The shapes passed to ``np.linalg.eigh``, one entry per call."""
+def _record_calls(monkeypatch, name: str) -> list:
+    """The shapes passed to ``np.linalg.<name>``, one entry per call."""
     calls = []
-    eigh = np.linalg.eigh
+    original = getattr(np.linalg, name)
 
     def counted(a, *args, **kwargs):
         calls.append(np.shape(a))
-        return eigh(a, *args, **kwargs)
+        return original(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigh", counted)
+    monkeypatch.setattr(np.linalg, name, counted)
     return calls
+
+
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    """The shapes passed to ``np.linalg.eigh``, one entry per call."""
+    return _record_calls(monkeypatch, "eigh")
+
+
+@pytest.fixture
+def cholesky_calls(monkeypatch):
+    """The shapes passed to ``np.linalg.cholesky`` (the L^+ certificate), one
+    entry per call."""
+    return _record_calls(monkeypatch, "cholesky")
 
 
 _WEIGHTS = {

@@ -4,7 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lapsig import analysis
@@ -138,6 +138,10 @@ class TestNullspaceBasis:
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(_connected_inputs())
+    @example(  # above LAPACK's block size: the column solve against the full one
+        (random_connected_graph(300, np.random.default_rng(300), 4.0 / 300),
+         Cosupport.from_support(300, range(3, 300, 8)))
+    )
     def test_smooth_part_is_the_selection_product_bit_for_bit(self, case):
         g, cos = case
         comp = cos.complement

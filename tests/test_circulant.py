@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from lapsig.circulant import (
     RepresenterPolynomial,
+    _certified_pinv,
+    _dense_pinv,
     _pinv_columns,
     cycle_laplacian,
     cycle_pinv,
@@ -22,8 +24,8 @@ from lapsig.circulant import (
     transform_inverse,
 )
 from lapsig.analysis import nullspace_basis
-from lapsig.graphs import CirculantSpec, Cosupport, compile_circulant, connected_components
-from lapsig.graphs import _laplacian_row, laplacian, random_circulant_spec
+from lapsig.graphs import CirculantSpec, Cosupport, Graph, compile_circulant, connected_components
+from lapsig.graphs import _laplacian_row, laplacian, random_circulant_spec, random_connected_graph
 from lapsig.linalg import column_space_equal, eig_symmetric, mpp_axiom_residuals, pseudoinverse
 from lapsig.synthesis import cyclic_difference, synthesize
 from lapsig.verification import AXIOM_RTOL, SPECTRAL_PINV_RTOL
@@ -340,6 +342,121 @@ class TestLaplacianPinv:
         assert np.abs(fast - dense).max() <= SPECTRAL_PINV_RTOL * max(1.0, np.abs(dense).max())
         axioms = mpp_axiom_residuals(lap, fast)
         assert max(axioms.values()) <= AXIOM_RTOL * max(1.0, np.abs(lap).max())
+
+
+_EPS = np.finfo(float).eps
+_SHAPES = ("path", "barbell", "random")
+
+
+def _one_light_edge(shape: str, n: int, w: float, rng) -> Graph:
+    """A connected graph with one edge of weight ``w`` and the rest in
+    0.5..2: a path whose light edge is a bridge, two cliques joined by the
+    light edge, or a random graph with one edge made light."""
+    if shape == "random":
+        edges = list(random_connected_graph(n, rng).edges)
+        at = int(rng.integers(len(edges)))
+        edges[at] = (*edges[at][:2], w)
+        return Graph(n, tuple(edges))
+    if shape == "path":
+        pairs = [(i, i + 1) for i in range(n - 1)]
+        light = pairs[int(rng.integers(len(pairs)))]
+    else:
+        half = n // 2
+        pairs = [(i, j) for lo, hi in ((0, half), (half, n))
+                 for i in range(lo, hi) for j in range(i + 1, hi)]
+        light = (half - 1, half)
+        pairs.append(light)
+    weights = rng.uniform(0.5, 2.0, len(pairs))
+    return Graph(n, tuple((i, j, w if (i, j) == light else float(x))
+                          for (i, j), x in zip(pairs, weights)))
+
+
+def _certificate_agrees_with_the_guard(lap: np.ndarray) -> bool:
+    """Whether the certificate passed, after checking what a pass promises:
+    the eigensolve counts one zero, and the two L^+ agree to rounding.
+
+    Both paths sit up to about n eps kappa |L^+|_max from the exact L^+
+    (kappa = lambda_max / lambda_2), so the allowance is 1e-12 relative to
+    max(1, |L^+|_max) until the conditioning makes 4 n eps kappa the larger
+    bound (the gap measured at most 0.76 n eps kappa |L^+|_max on 3000
+    seeded draws).
+    """
+    n = lap.shape[0]
+    dec = eig_symmetric(lap)
+    certified = _certified_pinv(lap)
+    refused = dec.rank != n - 1
+    try:
+        _dense_pinv(lap, 1)
+    except ValueError as exc:
+        assert refused and "numerically disconnected" in str(exc)
+    else:
+        assert not refused
+    if certified is None:
+        return False
+    assert not refused
+    dense = dec.pinv()
+    kappa = dec.eigenvalues[-1] / dec.eigenvalues[1]
+    allow = max(1e-12, 4 * n * _EPS * kappa) * max(1.0, float(np.abs(dense).max()))
+    assert float(np.abs(certified - dense).max()) <= allow
+    return True
+
+
+class TestCertifiedSolve:
+    """A passed Cholesky certificate never takes a graph the eigensolve guard
+    refuses, and its L^+ is the eigensolve's to rounding."""
+
+    @pytest.mark.parametrize("shape", _SHAPES)
+    def test_one_weight_sweep(self, shape):
+        rng = np.random.default_rng(_SHAPES.index(shape))
+        passed = [
+            _certificate_agrees_with_the_guard(laplacian(_one_light_edge(shape, 24, 10.0**-k, rng)))
+            for k in range(19)
+        ]
+        assert passed[0]  # the sweep starts on the certified path
+        if shape != "random":  # a light bridge ends on the eigensolve
+            assert not passed[-1]
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from(_SHAPES), st.integers(4, 40), st.integers(0, 18),
+           st.integers(0, 2**32 - 1))
+    def test_certificate_implies_one_zero(self, shape, n, k, seed):
+        rng = np.random.default_rng(seed)
+        _certificate_agrees_with_the_guard(laplacian(_one_light_edge(shape, n, 10.0**-k, rng)))
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.integers(1, 12), min_size=2, max_size=4), st.integers(0, 2**32 - 1))
+    def test_disconnected_graphs_are_never_certified(self, sizes, seed):
+        rng = np.random.default_rng(seed)
+        edges, first = [], 0
+        for size in sizes:
+            part = random_connected_graph(size, rng)
+            edges += [(first + i, first + j, w) for i, j, w in part.edges]
+            first += size
+        g = Graph(first, tuple(edges))
+        lap = laplacian(g)
+        assert _certified_pinv(lap) is None
+        pinv, _ = _dense_pinv(lap, connected_components(g))
+        assert np.abs(pinv - pseudoinverse(lap)).max() <= 1e-12 * max(1.0, np.abs(pinv).max())
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            laplacian_pinv,
+            lambda g: synthesize(g, (0, 3), (1.0, -1.0)),
+            lambda g: nullspace_basis(g, Cosupport.from_support(5, (0, 3))),
+        ],
+        ids=["laplacian_pinv", "synthesize", "nullspace_basis"],
+    )
+    def test_refusals_come_before_the_certificate(self, call, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("Cholesky certificate on a refused Laplacian")
+
+        monkeypatch.setattr(np.linalg, "cholesky", refuse)
+        path = ((0, 1, 1.0), (1, 2, 1e308), (2, 3, 1e308), (3, 4, 1.0))  # degree 2e308
+        with pytest.raises(ValueError, match="^matrix contains non-finite entries$"):
+            call(Graph(5, path))
+        with pytest.raises(ValueError, match="^matrix contains non-finite entries$"):
+            _dense_pinv(np.array([[1.0, np.nan], [np.nan, 1.0]]), 1)
 
 
 class TestSpecDispatch:

@@ -126,7 +126,7 @@ class TestVerify:
         main(["verify", "--trials", "4", "--out", str(out)])
         suites = {s["name"]: s["details"] for s in _read_json(out / "verify.json")["suites"]}
         tolerances = {
-            "mpp_axioms": {"axiom_rtol": 1e-9, "projection_tol": 1e-9},
+            "mpp_axioms": {"axiom_rtol": 1e-9, "projection_tol": 1e-9, "library_pinv_rtol": 1e-10},
             "nullspace_basis_vs_oracle": {"subspace_tol": 1e-9},
             "cycle_factorization": {
                 "product_tol_float": 1e-12,
@@ -146,6 +146,7 @@ class TestVerify:
             reported = {k: v for k, v in suites[name].items() if "tol" in k}
             assert reported == expected, name
         assert "max_axiom_residual_rel" in suites["mpp_axioms"]
+        assert suites["mpp_axioms"]["max_library_pinv_gap_rel"] <= 1e-10
         assert suites["cycle_factorization"]["max_spectral_pinv_gap_rel"] <= 1e-10
         assert "min_gap" in suites["uniqueness_randomized"]
 
@@ -155,7 +156,7 @@ class TestVerify:
         checks = {s["name"]: s["checks"] for s in _read_json(out / "verify.json")["suites"]}
         assert len(checks) == 9 and all(count >= 1 for count in checks.values())
         assert checks["cycle_factorization"] == 6 * 4
-        assert checks["mpp_axioms"] == 3 * 4
+        assert checks["mpp_axioms"] == 4 * 4  # axioms, centring, oracle gap, localisation
         assert checks["uniqueness_randomized"] == 33
 
     @pytest.mark.parametrize("trials", ["-1", "0"])
@@ -360,8 +361,8 @@ def test_bad_tol_is_usage_error(tmp_path, capsys, command, tol):
 
 
 class TestInputPath:
-    """A circulant input takes the DFT path; operators and a non-circulant --graph
-    stay dense."""
+    """A circulant input takes the DFT path; a connected non-circulant --graph
+    takes the certified solve, in operators too."""
 
     def test_circulant_commands_skip_the_eigensolve(self, tmp_path, eigh_calls):
         support = ["--support", "21,41"]
@@ -372,21 +373,26 @@ class TestInputPath:
                      "--out", str(tmp_path / "s")]) == 0
         assert eigh_calls == []
 
-    def test_operators_and_graph_inputs_stay_dense(self, tmp_path, eigh_calls):
-        # operators needs the eigensolve's rank; a --graph input is routed by
-        # its Laplacian: a path stays dense, the 4-cycle is exactly circulant
+    def test_connected_graph_inputs_take_the_certified_solve(
+        self, tmp_path, eigh_calls, cholesky_calls
+    ):
+        # every command is routed by its Laplacian: a path takes one Cholesky
+        # certificate and no eigensolve, the 4-cycle is exactly circulant
         path = tmp_path / "p4.txt"
         path.write_text("0 1\n1 2\n2 3\n")
         cycle = tmp_path / "c4.txt"
         cycle.write_text("0 1\n1 2\n2 3\n0 3\n")
         assert main(["operators", "--circulant", FOUR_CYCLE, "--out", str(tmp_path / "o")]) == 0
-        assert eigh_calls == [(4, 4)]
+        assert eigh_calls == [] and cholesky_calls == []
+        assert main(["operators", "--graph", str(path), "--out", str(tmp_path / "q")]) == 0
+        assert eigh_calls == [] and cholesky_calls == [(4, 4)]
+        assert _read_json(tmp_path / "q" / "report.json")["rank"] == 3
         assert main(["synth", "--graph", str(path), "--support", "0,2",
                      "--out", str(tmp_path / "p")]) == 0
-        assert eigh_calls == [(4, 4), (4, 4)]
+        assert eigh_calls == [] and cholesky_calls == [(4, 4), (4, 4)]
         assert main(["synth", "--graph", str(cycle), "--support", "0,2",
                      "--out", str(tmp_path / "c")]) == 0
-        assert eigh_calls == [(4, 4), (4, 4)]
+        assert eigh_calls == [] and cholesky_calls == [(4, 4), (4, 4)]
 
     def test_spec_paths_form_no_dense_matrix(self, tmp_path, monkeypatch):
         # the expected files come from columns of the dense L^+, formed first

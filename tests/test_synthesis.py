@@ -529,7 +529,8 @@ class TestCirculantPath:
 
 
 class TestKnotPath:
-    """The knot identities take the DFT L^+ exactly when the Laplacian is circulant."""
+    """The knot identities take the DFT L^+ exactly when the Laplacian is
+    circulant, and the certified solve on any other connected graph."""
 
     def test_circulant_graph_skips_the_eigensolve(self, eigh_calls, monkeypatch):
         def refuse(*args, **kwargs):
@@ -546,14 +547,16 @@ class TestKnotPath:
         assert eigh_calls == []
         assert products and ((64, 64), (64, 64)) not in products  # no n^3 product
 
-    def test_random_graph_takes_one_eigensolve_each(self, eigh_calls, monkeypatch):
+    def test_random_graph_takes_one_certified_solve_each(
+        self, eigh_calls, cholesky_calls, monkeypatch
+    ):
         products = _record_laplacian_products(monkeypatch)
         g = random_connected_graph(40, np.random.default_rng(14), extra_edge_prob=0.05)
         two_hop_knot_check(g, 0)
-        assert eigh_calls == [(40, 40)]
+        assert eigh_calls == [] and cholesky_calls == [(40, 40)]
         assert products.count(((40, 40), (40, 40))) == 2
         edge_knot_residual(g)
-        assert eigh_calls == [(40, 40), (40, 40)]
+        assert eigh_calls == [] and cholesky_calls == [(40, 40), (40, 40)]
         assert products.count(((40, 40), (40, 40))) == 3
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
