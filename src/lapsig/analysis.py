@@ -14,9 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circulant import _pinv_columns, laplacian_pinv
-from .graphs import CirculantSpec, Cosupport, Graph, _apply_laplacian, connected_components
-from .graphs import laplacian
+from .circulant import _connected_pinv
+from .graphs import CirculantSpec, Cosupport, Graph, _apply_laplacian, laplacian
 from .linalg import ZERO_FLOOR, _require_finite, _require_tolerance, rank
 
 __all__ = [
@@ -101,21 +100,20 @@ def nullspace_basis(g: Graph | CirculantSpec, cosupport: Cosupport) -> Nullspace
     """
     if cosupport.n != g.n:
         raise ValueError("cosupport and graph sizes differ")
-    if connected_components(g) != 1:
-        raise ValueError("nullspace basis requires a connected graph")
-    if not cosupport.complement:
+    comp = cosupport.complement
+    if not comp:
         raise ValueError(
             "cosupport covers every vertex: the nullspace is span{1} and no "
             "sampled basis is defined"
         )
-    return _basis_from_columns(_pinv_columns(g, cosupport.complement), cosupport)
+    return _basis_from_columns(_connected_pinv(g, comp)[1], cosupport)
 
 
 def _basis_from_columns(cols: np.ndarray, cosupport: Cosupport) -> NullspaceBasis:
     """The closed-form basis from the complement columns of a connected
     graph's L^+.
 
-    The columns come C-contiguous, as ``_pinv_columns`` and ``np.take``
+    The columns come C-contiguous, as ``_connected_pinv`` and ``np.take``
     gather them; an F-ordered copy such as ``l_pinv[:, comp]`` can make BLAS
     round the product differently in the last bit.
     """
@@ -183,7 +181,7 @@ class UniquenessCheck:
 
 
 def randomized_uniqueness_check(
-    g: Graph, l: int, m: int, trials: int = 100, seed: int = 42
+    g: Graph | CirculantSpec, l: int, m: int, trials: int = 100, seed: int = 42
 ) -> UniquenessCheck:
     """Empirical at-most-one-solution probe (evidence, not proof).
 
@@ -193,10 +191,10 @@ def randomized_uniqueness_check(
     random measurement rows have no non-trivial dependencies with the
     Laplacian rows almost surely, which is the regime the bound addresses.
     ``trials`` and ``m`` must be at least 1: a probe that ran no trial is no
-    evidence, and with no measurement every pair of signals collides.
+    evidence, and with no measurement every pair of signals collides.  A
+    disconnected graph, or one ``laplacian_pinv`` sees as numerically
+    disconnected, raises.
     """
-    if connected_components(g) != 1:
-        raise ValueError("uniqueness probe requires a connected graph")
     if not 0 < l < g.n:
         raise ValueError("cosparsity level must lie in (0, n)")
     if trials < 1:
@@ -204,7 +202,7 @@ def randomized_uniqueness_check(
     if m < 1:
         raise ValueError(f"measurement count m must be at least 1, got {m}")
     rng = np.random.default_rng(seed)
-    l_pinv = laplacian_pinv(g)
+    l_pinv = _connected_pinv(g)[1]
     min_gap = np.inf
     for _ in range(trials):
         mat = rng.standard_normal((m, g.n))

@@ -166,7 +166,7 @@ def laplacian_pinv(g: Graph | CirculantSpec) -> np.ndarray:
     if isinstance(g, Graph):
         pinv, circulant = _dense_pinv(laplacian(g), connected_components(g))
         return pinv.copy() if circulant else pinv
-    return _circulant(_pinv_row(g))
+    return _circulant(_laplacian_row_pinv(_laplacian_row(g), connected_components(g)))
 
 
 def _dense_pinv(lap: np.ndarray, components: int, cols=None) -> tuple[np.ndarray, bool]:
@@ -209,11 +209,10 @@ def _certified_pinv(lap: np.ndarray, cols=None) -> np.ndarray | None:
     L on the zero-sum vectors, so L^+ = A^{-1} - 11^T/(s n) (Ghosh, Boyd &
     Saberi, SIAM Review 50, 2008).  The result is
     ``np.linalg.solve(A, E) - 1/(s n)``, E the requested columns of the
-    identity; for all columns ``np.linalg.inv(A)``, which solves against
-    the identity it builds itself, gives the same bits with no n x n E.  It
-    is not symmetrised: a column solved alone then has the bits of the same
-    column of the full solve (every size tried up to n = 384 with OpenBLAS
-    0.3.31; some larger sizes differ in the last bits).
+    identity (all of them by default).  It is not symmetrised: a column
+    solved alone then has the bits of the same column of the full solve
+    (every size tried up to n = 384 with OpenBLAS 0.3.31; some larger sizes
+    differ in the last bits).
 
     The certificate is that ``np.linalg.cholesky(A - cI)`` succeeds, with
     the margin c = CERTIFICATE_MARGIN (n + 1)^2 eps s.  Once it does, the
@@ -261,12 +260,10 @@ def _certified_pinv(lap: np.ndarray, cols=None) -> np.ndarray | None:
     except np.linalg.LinAlgError:
         return None
     np.fill_diagonal(a, diag)
-    if cols is None:
-        pinv = np.linalg.inv(a)
-    else:
-        rhs = np.zeros((n, len(cols)))
-        rhs[cols, np.arange(len(cols))] = 1.0
-        pinv = np.linalg.solve(a, rhs)
+    cols = np.arange(n) if cols is None else cols
+    rhs = np.zeros((n, len(cols)))
+    rhs[cols, np.arange(len(cols))] = 1.0
+    pinv = np.linalg.solve(a, rhs)
     pinv -= 1.0 / (s * n)
     return pinv
 
@@ -281,20 +278,33 @@ def _laplacian_row_pinv(row: np.ndarray, components: int) -> np.ndarray:
     return _inverse_row(_invert_spectrum(lam))
 
 
-def _pinv_row(spec: CirculantSpec) -> np.ndarray:
-    """First row of the L^+ of a circulant graph."""
-    return _laplacian_row_pinv(_laplacian_row(spec), connected_components(spec))
+def _connected_pinv(g: Graph | CirculantSpec, cols=None):
+    """``(L, L^+, circulant)``: the one door to L^+ for what is stated for
+    connected graphs.
 
-
-def _pinv_columns(g: Graph | CirculantSpec, cols) -> np.ndarray:
-    """Columns ``cols`` of ``laplacian_pinv(g)``, C-contiguous; a spec
-    gathers them from the strided view of its first row and forms no n x n
-    matrix, and a Graph takes ``_dense_pinv``'s choice for those columns."""
+    The components are counted once, and a disconnected graph is refused
+    before L is built.  A Graph's L is built once and goes to
+    ``_dense_pinv``; L is None for a spec, whose L^+ comes from the DFT of
+    its Laplacian's first row.  ``circulant`` says whether L is.  All of L^+
+    comes by default, as the read-only strided view when L is circulant;
+    the columns ``cols`` come C-contiguous, as ``np.take`` gathers them.
+    """
+    components = connected_components(g)
+    if components != 1:
+        raise ValueError(
+            f"graph has {components} connected components; this needs a connected graph"
+        )
     if isinstance(g, Graph):
-        pinv = _dense_pinv(laplacian(g), connected_components(g), cols)[0]
+        lap = laplacian(g)
+        pinv, circulant = _dense_pinv(lap, 1, cols)
     else:
-        pinv = _circulant_view(_pinv_row(g))[:, cols]
-    return np.ascontiguousarray(pinv)
+        lap, circulant = None, True
+        pinv = _circulant_view(_laplacian_row_pinv(_laplacian_row(g), 1))
+        if cols is not None:
+            pinv = pinv[:, cols]
+    if cols is not None:
+        pinv = np.ascontiguousarray(pinv)
+    return lap, pinv, circulant
 
 
 def poly_multiply_mod(

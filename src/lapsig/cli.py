@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import ZERO_TEST_TOL, _annihilated, cosparsity, nullspace_basis
-from .circulant import _dense_pinv, _pinv_columns
+from .circulant import _connected_pinv, _dense_pinv
 from .graphs import (
     CirculantSpec,
     Cosupport,
@@ -179,7 +179,7 @@ def cmd_figures(args) -> int:
     out = _out_dir(args)
     differences = {}
     for tag, spec in panels.items():
-        atom_a, atom_b = _pinv_columns(spec, (i, j)).T
+        atom_a, atom_b = _connected_pinv(spec, (i, j))[1].T
         diff = atom_a - atom_b
         differences[tag] = diff
         _write_indexed_csv(out / f"atoms_{tag}.csv", atom_a, atom_b, diff)

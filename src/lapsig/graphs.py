@@ -41,6 +41,16 @@ __all__ = [
 LOCALIZATION_RTOL = 1e-12  # |L^k| allowed beyond k hops, relative to max(|L^k|_max, 1)
 
 
+def _whole(value, what: str) -> int:
+    """``value`` as an int, refused (not truncated) unless it is a whole number."""
+    if type(value) is not int:
+        if not (isinstance(value, (int, float, np.integer, np.floating))
+                and float(value).is_integer()):
+            raise ValueError(f"{what} must be a whole number, got {value!r}")
+        value = int(value)
+    return value
+
+
 @dataclass(frozen=True)
 class Graph:
     """Immutable undirected weighted graph on vertices 0..n-1."""
@@ -49,7 +59,7 @@ class Graph:
     edges: tuple[tuple[int, int, float], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "n", _whole(self.n, "vertex count n"))
         if self.n < 1:
             raise ValueError("graph needs at least one vertex")
         canon = []
@@ -61,7 +71,7 @@ class Graph:
                 i, j, w = edge
             else:
                 raise ValueError(f"edge {edge!r} is not (i, j) or (i, j, w)")
-            i, j, w = int(i), int(j), float(w)
+            i, j, w = _whole(i, "vertex"), _whole(j, "vertex"), float(w)
             if i == j:
                 raise ValueError(f"self-loop at vertex {i}")
             if i > j:
@@ -95,13 +105,13 @@ class CirculantSpec:
     generators: tuple[tuple[int, float], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "n", _whole(self.n, "vertex count n"))
         if self.n < 2:
             raise ValueError("circulant graph needs at least two vertices")
         canon = []
         for gen in self.generators:
             s, d = gen
-            s, d = int(s), float(d)
+            s, d = _whole(s, "hop"), float(d)
             if s <= 0 or 2 * s > self.n:
                 raise ValueError(f"generator {s} outside 0 < s <= n/2 for n={self.n}")
             if not (d > 0.0 and math.isfinite(d)):
@@ -132,10 +142,10 @@ class Cosupport:
     members: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "n", _whole(self.n, "ambient size n"))
         if self.n < 1:
             raise ValueError("ambient size must be >= 1")
-        mem = tuple(sorted(int(i) for i in self.members))
+        mem = tuple(sorted(_whole(i, "index") for i in self.members))
         for i in mem:
             if i < 0 or i >= self.n:
                 raise ValueError(f"index {i} out of range for n={self.n}")
@@ -146,12 +156,9 @@ class Cosupport:
 
     @classmethod
     def from_support(cls, n: int, support) -> "Cosupport":
-        """Build from the complement set (the non-annihilated vertices)."""
-        sup = {int(i) for i in support}
-        for i in sup:
-            if i < 0 or i >= n:
-                raise ValueError(f"index {i} out of range for n={n}")
-        return cls(n, tuple(i for i in range(n) if i not in sup))
+        """Build from the complement set (the non-annihilated vertices),
+        checked as the members are: whole, in range and distinct."""
+        return cls(n, cls(n, tuple(support)).complement)
 
     @property
     def complement(self) -> tuple[int, ...]:
@@ -444,7 +451,7 @@ def graph_from_json(obj) -> Graph:
     if isinstance(obj, str):
         obj = json.loads(obj)
     try:
-        return Graph(int(obj["n"]), tuple(tuple(e) for e in obj["edges"]))
+        return Graph(obj["n"], tuple(tuple(e) for e in obj["edges"]))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed graph JSON: {exc}") from exc
 
@@ -458,7 +465,7 @@ def circulant_spec_from_json(obj) -> CirculantSpec:
     if isinstance(obj, str):
         obj = json.loads(obj)
     try:
-        return CirculantSpec(int(obj["n"]), tuple(tuple(gen) for gen in obj["generators"]))
+        return CirculantSpec(obj["n"], tuple(tuple(gen) for gen in obj["generators"]))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed circulant spec JSON: {exc}") from exc
 

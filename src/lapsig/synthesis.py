@@ -13,19 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circulant import _cycle_pinv_value, _dense_pinv, _inverse_row, _invertible_spectrum
-from .circulant import _pinv_columns, _pinv_row, perturbation_factor, pinv_residual_allowance
-from .graphs import (
-    CirculantSpec,
-    Cosupport,
-    Graph,
-    _apply_laplacian,
-    _circulant_times,
-    _within_hops,
-    complete_graph,
-    connected_components,
-    laplacian,
-)
+from .circulant import _connected_pinv, _cycle_pinv_value, _inverse_row, _invertible_spectrum
+from .circulant import perturbation_factor, pinv_residual_allowance
+from .graphs import CirculantSpec, Cosupport, Graph, _apply_laplacian, _circulant_times
+from .graphs import _within_hops, complete_graph
 from .linalg import ZERO_FLOOR, _require_finite, _require_tolerance
 from .analysis import ZERO_TEST_TOL, _annihilated, nullspace_basis
 
@@ -54,12 +45,11 @@ def synthesize(g: Graph | CirculantSpec, support, coeffs) -> np.ndarray:
 
     The output always lies in the range of L^+, i.e. it is orthogonal to the
     constant vector.  Coefficients pair with the support in the order given.
-    A graph ``laplacian_pinv`` sees as numerically disconnected raises.  The
-    columns are multiplied F-ordered, as ``l_pinv[:, support]`` holds them,
-    so BLAS rounds the product the same way for a Graph and a spec.
+    A disconnected graph, or one ``laplacian_pinv`` sees as numerically
+    disconnected, raises.  The columns are multiplied F-ordered, as
+    ``l_pinv[:, support]`` holds them, so BLAS rounds the product the same
+    way for a Graph and a spec.
     """
-    if connected_components(g) != 1:
-        raise ValueError("synthesis assumes a connected graph")
     sup = [int(i) for i in support]
     for i in sup:
         if i < 0 or i >= g.n:
@@ -71,7 +61,7 @@ def synthesize(g: Graph | CirculantSpec, support, coeffs) -> np.ndarray:
         raise ValueError(
             f"coefficient count {vec.shape} does not match support size {len(sup)}"
         )
-    return np.asfortranarray(_pinv_columns(g, sup)) @ vec
+    return np.asfortranarray(_connected_pinv(g, sup)[1]) @ vec
 
 
 def structured_sparsity_check(c, tol: float = ZERO_TEST_TOL) -> bool:
@@ -83,19 +73,6 @@ def structured_sparsity_check(c, tol: float = ZERO_TEST_TOL) -> bool:
     _require_tolerance(tol)
     vec = _require_finite(c, "coefficients")
     return abs(float(vec.sum())) <= tol * float(np.abs(vec).sum())
-
-
-def _connected_pinv(g: Graph) -> tuple[np.ndarray, np.ndarray, list[int] | slice]:
-    """L and the guarded L^+ of a graph the knot and complete-graph
-    identities are stated for, a connected one, and the columns that decide
-    a max over every column of a product of L and L^+: ``[0]`` when L is
-    exactly circulant, where every such column is a cyclic shift of column
-    0 (L^+ is then a read-only strided view), and all of them otherwise."""
-    if connected_components(g) != 1:
-        raise ValueError("identity stated for connected graphs")
-    lap = laplacian(g)
-    l_pinv, circulant = _dense_pinv(lap, 1)
-    return lap, l_pinv, ([0] if circulant else slice(None))
 
 
 def edge_knot_residual(g: Graph) -> float:
@@ -111,7 +88,8 @@ def edge_knot_residual(g: Graph) -> float:
     0's edges carry every offset with its weight, so they alone decide the
     max, and M^T is formed only at the vertices they touch.
     """
-    lap, l_pinv, cols = _connected_pinv(g)
+    lap, l_pinv, circulant = _connected_pinv(g)
+    cols = [0] if circulant else slice(None)
     ends, roots = _edge_ends(g)
     keep = np.isin(ends[:, 0], np.arange(g.n)[cols])  # every edge, or vertex 0's
     verts, ends = np.unique(ends[keep], return_inverse=True)
@@ -162,7 +140,8 @@ def two_hop_knot_check(g: Graph, j: int) -> tuple[float, bool | None]:
     """
     if j < 0 or j >= g.n:
         raise ValueError(f"vertex {j} out of range for n={g.n}")
-    lap, l_pinv, cols = _connected_pinv(g)
+    lap, l_pinv, circulant = _connected_pinv(g)
+    cols = [0] if circulant else slice(None)
     prod = lap @ (lap @ l_pinv[:, cols])
     prod -= lap[:, cols]
     residual = float(np.abs(prod, out=prod).max())
@@ -331,7 +310,7 @@ def model_degree_report(spec: CirculantSpec, cosupport: Cosupport) -> DegreeRepo
     factor = perturbation_factor(spec)
     p_row = factor.first_row()
     smooth = nullspace_basis(spec, cosupport).smooth_part
-    row = _pinv_row(spec)
+    row = _connected_pinv(spec)[1][0]  # the first row of L^+
     comp = set(cosupport.complement)
     off = [i for i in range(spec.n) if i not in comp]
 
@@ -418,7 +397,7 @@ def absorb_discontinuity(
             raise ValueError(f"vertex {name}={v} out of range for n={spec.n}")
     factor_col = np.roll(perturbation_factor(spec).first_row(), j)
     p = np.roll(factor_col, k) - np.roll(factor_col, l)
-    x = _circulant_times(_pinv_row(spec), p)
+    x = _circulant_times(_connected_pinv(spec)[1][0], p)
     cyc_out = _apply_laplacian(CirculantSpec(spec.n, ((1, 1.0),)), x)
     report = AbsorptionReport(
         cycle_support=_support(cyc_out),

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from lapsig.circulant import (
     RepresenterPolynomial,
     _certified_pinv,
+    _connected_pinv,
     _dense_pinv,
-    _pinv_columns,
     cycle_laplacian,
     cycle_pinv,
     cycle_representer,
@@ -472,7 +472,13 @@ class TestSpecDispatch:
     def test_pinv_columns(self, spec, data):
         # gathered from the strided view of the first row, C-contiguous
         cols = data.draw(st.lists(st.integers(0, spec.n - 1), max_size=spec.n))
-        got = _pinv_columns(spec, cols)
+        components = connected_components(spec)
+        if components != 1:
+            with pytest.raises(ValueError, match=f"^graph has {components} connected components"):
+                _connected_pinv(spec, cols)
+            return
+        lap, got, circulant = _connected_pinv(spec, cols)
+        assert lap is None and circulant
         assert got.flags.c_contiguous
         np.testing.assert_array_equal(got, laplacian_pinv(spec)[:, cols])
 

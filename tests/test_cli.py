@@ -270,6 +270,15 @@ class TestAnalysisBasis:
         assert code == 2
 
 
+    def test_duplicate_support_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        code = main(["analysis-basis", "--circulant", BANDED_64, "--support", "3,3,5",
+                     "--out", str(out)])
+        assert code == 2
+        assert "duplicate index 3" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestSynth:
     def test_non_zero_sum_warning(self, tmp_path):
         out = tmp_path / "synth"
@@ -349,6 +358,29 @@ class TestSynth:
         assert "numerically disconnected" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "source, text",
+    [
+        ("--circulant", '{"n": 16.7, "generators": [[1, 1.0]]}'),
+        ("--circulant", '{"n": 16, "generators": [[1.9, 1.0]]}'),
+        ("--circulant", '{"n": 1e400, "generators": [[1, 1.0]]}'),
+        ("--graph", '{"n": 16, "edges": [[0, 1.6, 1.0]]}'),
+        ("--graph", '{"n": 16, "edges": [[0, Infinity, 1.0]]}'),
+    ],
+)
+def test_non_whole_json_is_usage_error(tmp_path, capsys, source, text):
+    # refused with exit 2, neither truncated nor raised as OverflowError
+    if source == "--graph":
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        text = str(path)
+    out = tmp_path / "o"
+    code = main(["synth", source, text, "--support", "0,3", "--out", str(out)])
+    assert code == 2
+    assert "must be a whole number" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["synth", "analysis-basis"])
 @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
 def test_bad_tol_is_usage_error(tmp_path, capsys, command, tol):
@@ -394,6 +426,23 @@ class TestInputPath:
                      "--out", str(tmp_path / "c")]) == 0
         assert eigh_calls == [] and cholesky_calls == [(4, 4), (4, 4)]
 
+    @pytest.mark.parametrize("command", ["synth", "analysis-basis"])
+    def test_graph_commands_count_components_once(self, tmp_path, monkeypatch, command):
+        graph = tmp_path / "g.txt"
+        graph.write_text("0 1\n1 2\n2 3\n3 4\n1 4\n")
+        counted = []
+        count = graphs.connected_components
+
+        def counting(g):
+            counted.append(g.n)
+            return count(g)
+
+        for module in (graphs, circulant, analysis, synthesis, cli):
+            monkeypatch.setattr(module, "connected_components", counting, raising=False)
+        assert main([command, "--graph", str(graph), "--support", "0,3",
+                     "--out", str(tmp_path / "o")]) == 0
+        assert counted == [5]
+
     def test_spec_paths_form_no_dense_matrix(self, tmp_path, monkeypatch):
         # the expected files come from columns of the dense L^+, formed first
         want = tmp_path / "want"
@@ -417,7 +466,7 @@ class TestInputPath:
 
         monkeypatch.setattr(graphs, "_circulant", refuse)
         monkeypatch.setattr(circulant, "_circulant", refuse)
-        for module in (graphs, analysis, cli, synthesis):
+        for module in (graphs, analysis, cli, circulant):
             monkeypatch.setattr(module, "laplacian", refuse)
         out = tmp_path / "got"
         text = ",".join(map(str, support))

@@ -270,6 +270,85 @@ class TestCosupport:
         with pytest.raises(ValueError):
             Cosupport.from_support(4, (9,))
 
+    def test_from_support_rejects_duplicates(self):
+        with pytest.raises(ValueError, match="^duplicate index 3$"):
+            Cosupport.from_support(8, (3, 3, 5))
+
+
+_NOT_WHOLE = [16.7, float("inf"), float("-inf"), float("nan")]
+
+
+class TestWholeNumbers:
+    """Counts, vertices and hops are refused unless they are whole numbers,
+    never truncated; a float that is whole is taken as its int."""
+
+    @pytest.mark.parametrize("bad", _NOT_WHOLE)
+    def test_graph_vertex_count(self, bad):
+        with pytest.raises(ValueError, match="^vertex count n must be a whole number"):
+            Graph(bad, ())
+
+    @pytest.mark.parametrize("bad", _NOT_WHOLE)
+    @pytest.mark.parametrize("end", [0, 1])
+    def test_graph_vertex(self, bad, end):
+        edge = [0, 1, 1.0]
+        edge[end] = bad
+        with pytest.raises(ValueError, match="^vertex must be a whole number"):
+            Graph(4, (tuple(edge),))
+
+    @pytest.mark.parametrize("bad", _NOT_WHOLE)
+    def test_spec_vertex_count(self, bad):
+        with pytest.raises(ValueError, match="^vertex count n must be a whole number"):
+            CirculantSpec(bad, ((1, 1.0),))
+
+    @pytest.mark.parametrize("bad", [1.9, float("inf"), float("nan")])
+    def test_spec_hop(self, bad):
+        with pytest.raises(ValueError, match="^hop must be a whole number"):
+            CirculantSpec(16, ((bad, 1.0),))
+
+    @pytest.mark.parametrize("bad", _NOT_WHOLE)
+    def test_cosupport_size(self, bad):
+        with pytest.raises(ValueError, match="^ambient size n must be a whole number"):
+            Cosupport(bad, ())
+
+    @pytest.mark.parametrize("bad", [3.5, float("inf"), float("nan")])
+    def test_cosupport_index(self, bad):
+        with pytest.raises(ValueError, match="^index must be a whole number"):
+            Cosupport(8, (bad,))
+        with pytest.raises(ValueError, match="^index must be a whole number"):
+            Cosupport.from_support(8, (bad,))
+
+    def test_whole_floats_and_numpy_integers_are_taken(self):
+        assert Graph(3.0, ((0.0, np.int64(2)),)) == Graph(3, ((0, 2),))
+        assert CirculantSpec(np.int32(8), ((2.0, 1.0),)) == CirculantSpec(8, ((2, 1.0),))
+        assert Cosupport(np.float64(4), (1.0, np.int8(3))) == Cosupport(4, (1, 3))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"n": 16.7, "generators": [[1, 1.0]]}',
+            '{"n": 16, "generators": [[1.9, 1.0]]}',
+            '{"n": 1e400, "generators": [[1, 1.0]]}',
+            '{"n": 16, "generators": [[Infinity, 1.0]]}',
+        ],
+    )
+    def test_spec_json(self, text):
+        with pytest.raises(ValueError, match="must be a whole number"):
+            circulant_spec_from_json(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"n": 4.5, "edges": [[0, 1, 1.0]]}',
+            '{"n": 4, "edges": [[0, 1.6, 1.0]]}',
+            '{"n": 1e400, "edges": [[0, 1, 1.0]]}',
+            '{"n": 4, "edges": [[0, Infinity, 1.0]]}',
+            '{"n": 4, "edges": [[NaN, 1, 1.0]]}',
+        ],
+    )
+    def test_graph_json(self, text):
+        with pytest.raises(ValueError, match="must be a whole number"):
+            graph_from_json(text)
+
 
 class TestSerialisation:
     def test_circulant_json(self):

@@ -500,7 +500,7 @@ class TestCirculantPath:
         monkeypatch.setattr(graphs, "_circulant", refuse)
         monkeypatch.setattr(circulant, "_circulant", refuse)
         monkeypatch.setattr(graphs, "laplacian", refuse)
-        monkeypatch.setattr(synthesis, "laplacian", refuse)
+        monkeypatch.setattr(circulant, "laplacian", refuse)
         for (spec, args, cycle_support, lap_support), l_pinv in zip(cases, dense):
             p, x, report = absorb_discontinuity(spec, *args)
             assert report.passed
@@ -608,8 +608,8 @@ class TestKnotPath:
         dense = float(np.abs(lap @ lap @ pinv - lap).max())
         dense_edge = float(np.abs(lap @ (pinv @ st_mat) - st_mat).max())
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(synthesis, "_dense_pinv",
-                          lambda lap, components: (graphs._circulant_view(row), True))
+            patch.setattr(circulant, "_dense_pinv",
+                          lambda lap, components, cols=None: (graphs._circulant_view(row), True))
             assert two_hop_knot_check(g, 0)[0] == pytest.approx(dense, rel=1e-12)
             assert edge_knot_residual(g) == pytest.approx(dense_edge, rel=1e-12)
 
@@ -625,8 +625,8 @@ def _record_laplacian_products(monkeypatch) -> list:
                 products.append(tuple(a.shape for a in arrays))
             return getattr(ufunc, method)(*arrays, **kwargs)
 
-    build = synthesis.laplacian
-    monkeypatch.setattr(synthesis, "laplacian", lambda g: build(g).view(Recorded))
+    build = circulant.laplacian
+    monkeypatch.setattr(circulant, "laplacian", lambda g: build(g).view(Recorded))
     return products
 
 
@@ -663,6 +663,41 @@ NUMERICALLY_DISCONNECTED_PATH = Graph(5, ((0, 1, 1.0), (1, 2, 1e-300), (2, 3, 1.
 def test_numerically_disconnected_graph_is_refused(call):
     with pytest.raises(ValueError, match="numerically disconnected"):
         call(NUMERICALLY_DISCONNECTED_PATH)
+
+
+THREE_EDGES = Graph(6, ((0, 1, 1.0), (2, 3, 1.0), (4, 5, 1.0)))  # three components
+HOP_THREE = CirculantSpec(9, ((3, 1.0),))  # three components
+
+
+@pytest.mark.parametrize(
+    "call, g",
+    [
+        (lambda g: synthesize(g, (0, 2), (1.0, -1.0)), THREE_EDGES),
+        (lambda g: synthesize(g, (0, 2), (1.0, -1.0)), HOP_THREE),
+        (lambda g: nullspace_basis(g, Cosupport.from_support(g.n, (0, 2))), THREE_EDGES),
+        (lambda g: nullspace_basis(g, Cosupport.from_support(g.n, (0, 2))), HOP_THREE),
+        (lambda g: randomized_uniqueness_check(g, 2, 8, trials=3), THREE_EDGES),
+        (lambda g: randomized_uniqueness_check(g, 2, 8, trials=3), HOP_THREE),
+        (lambda g: two_hop_knot_check(g, 0), THREE_EDGES),
+        (edge_knot_residual, THREE_EDGES),
+    ],
+    ids=["synthesize", "synthesize-spec", "nullspace_basis", "nullspace_basis-spec",
+         "randomized_uniqueness_check", "randomized_uniqueness_check-spec",
+         "two_hop_knot_check", "edge_knot_residual"],
+)
+def test_disconnected_graph_is_refused_at_the_door(call, g, monkeypatch):
+    # one refusal, with the count, before any Laplacian or factorisation
+    def refuse(*args, **kwargs):
+        raise AssertionError("Laplacian or factorisation of a disconnected graph")
+
+    for module in (graphs, circulant):
+        monkeypatch.setattr(module, "laplacian", refuse)
+    monkeypatch.setattr(circulant, "_laplacian_row", refuse)
+    for name in ("cholesky", "eigh", "solve"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    message = "^graph has 3 connected components; this needs a connected graph$"
+    with pytest.raises(ValueError, match=message):
+        call(g)
 
 
 class TestCompleteGraphIdentities:

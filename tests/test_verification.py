@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from lapsig import analysis, circulant, linalg, synthesis, verification
+from lapsig import analysis, circulant, graphs, linalg, synthesis, verification
 from lapsig.circulant import RepresenterPolynomial
 from lapsig.verification import (
     closure_suite,
@@ -105,3 +105,27 @@ def test_perturbed_representer_fails_factorization_suite(monkeypatch):
     assert result.passed is False
     assert "representer" in result.details["first_failure"]
 
+
+def test_mpp_suite_builds_each_laplacian_once(monkeypatch):
+    # one build per graph through the L^+ door; the k-hop check builds its own
+    built, inside_khop = [], []
+    laplacian, khop = graphs.laplacian, graphs.khop_localization_check
+
+    def counted(g):
+        if not inside_khop:
+            built.append(g)
+        return laplacian(g)
+
+    def khop_counted(g, k):
+        inside_khop.append(g)
+        try:
+            return khop(g, k)
+        finally:
+            inside_khop.pop()
+
+    for module in (graphs, circulant):
+        monkeypatch.setattr(module, "laplacian", counted)
+    monkeypatch.setattr(graphs, "khop_localization_check", khop_counted)
+    assert mpp_axiom_suite(seed=3, graph_count=6).passed
+    assert len(built) == 6
+    assert len({id(g) for g in built}) == 6
