@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circulant import _connected_pinv
-from .graphs import CirculantSpec, Cosupport, Graph, _apply_laplacian, laplacian
+from .graphs import CirculantSpec, Cosupport, Graph, _apply_laplacian, _whole, laplacian
 from .linalg import ZERO_FLOOR, _require_finite, _require_tolerance, rank
 
 __all__ = [
@@ -39,7 +39,7 @@ ZERO_TEST_TOL = 1e-9  # default of the relative zero test in cosparsity and the 
 
 def sampling_matrix(indices, n: int) -> np.ndarray:
     """Row-selection matrix: row t holds a single 1 at column indices[t]."""
-    idx = [int(i) for i in indices]
+    idx = [_whole(i, "index") for i in indices]
     for i in idx:
         if i < 0 or i >= n:
             raise ValueError(f"index {i} out of range for n={n}")
@@ -140,7 +140,7 @@ def _annihilated(lx: np.ndarray, tol: float) -> tuple[int, Cosupport]:
     if scale <= ZERO_FLOOR:
         members: tuple[int, ...] = tuple(range(lx.size))
     else:
-        members = tuple(int(i) for i in np.flatnonzero(np.abs(lx) <= tol * scale))
+        members = tuple(np.flatnonzero(np.abs(lx) <= tol * scale).tolist())
     return len(members), Cosupport(lx.size, members)
 
 

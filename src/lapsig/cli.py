@@ -88,14 +88,57 @@ def _out_dir(args) -> Path:
     return out
 
 
+def _json_text(obj, level: int = 0) -> str:
+    """Exactly ``json.dumps(obj, indent=2, sort_keys=True)``.
+
+    json takes its pure-Python encoder whenever ``indent`` is set.  Here
+    only the containers are walked in Python: every scalar, string and key
+    goes through ``json.dumps`` itself (``NaN``, escapes, int keys as
+    strings), and a list of plain ints is joined in one call.
+    """
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        brackets = "[]"
+        if set(map(type, obj)) == {int}:
+            items = map(int.__repr__, obj)
+        else:
+            items = (_json_text(v, level + 1) for v in obj)
+    elif isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        brackets = "{}"
+        items = (
+            f"{_json_key(k)}: {_json_text(v, level + 1)}" for k, v in sorted(obj.items())
+        )
+    else:
+        return json.dumps(obj)
+    inner = "\n" + "  " * (level + 1)
+    return f"{brackets[0]}{inner}{(',' + inner).join(items)}\n{'  ' * level}{brackets[1]}"
+
+
+def _json_key(key) -> str:
+    """A dict key as json writes it: a string, or a scalar's JSON text quoted."""
+    if not isinstance(key, str):
+        if not (key is None or isinstance(key, (int, float))):
+            raise TypeError(
+                f"keys must be str, int, float, bool or None, not {key.__class__.__name__}"
+            )
+        key = json.dumps(key)
+    return json.dumps(key)
+
+
 def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    path.write_text(_json_text(obj) + "\n")
 
 
 def _write_indexed_csv(path: Path, *columns) -> None:
     """One line per vertex: its index, then each column's value there."""
-    lines = b"".join(_csv_blocks(np.column_stack(columns))).split(b"\n")[:-1]
-    path.write_bytes(b"".join(b"%d,%s\n" % (i, line) for i, line in enumerate(lines)))
+    lines = b"".join(_csv_blocks(np.column_stack(columns))).splitlines(keepends=True)
+    parts = [b""] * (2 * len(lines))
+    parts[0::2] = map(b"%d,".__mod__, range(len(lines)))
+    parts[1::2] = lines
+    path.write_bytes(b"".join(parts))
 
 
 # ----------------------------------------------------------------------
@@ -216,7 +259,7 @@ def cmd_verify(args) -> int:
     if args.out:
         _write_json(_out_dir(args) / "verify.json", report)
     else:
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(_json_text(report))
     if not report["passed"]:
         first = next(r for r in results if not r.passed)
         message = first.details.get("first_failure", "unspecified check")

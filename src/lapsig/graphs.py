@@ -145,13 +145,16 @@ class Cosupport:
         object.__setattr__(self, "n", _whole(self.n, "ambient size n"))
         if self.n < 1:
             raise ValueError("ambient size must be >= 1")
-        mem = tuple(sorted(_whole(i, "index") for i in self.members))
-        for i in mem:
-            if i < 0 or i >= self.n:
-                raise ValueError(f"index {i} out of range for n={self.n}")
-        for a, b in zip(mem, mem[1:]):
-            if a == b:
-                raise ValueError(f"duplicate index {a}")
+        mem = tuple(self.members)
+        if not set(map(type, mem)) <= {int}:
+            mem = tuple(_whole(i, "index") for i in mem)
+        mem = tuple(sorted(mem))
+        if mem and (mem[0] < 0 or mem[-1] >= self.n):
+            bad = mem[0] if mem[0] < 0 else next(i for i in mem if i >= self.n)
+            raise ValueError(f"index {bad} out of range for n={self.n}")
+        if len(set(mem)) != len(mem):
+            dup = next(a for a, b in zip(mem, mem[1:]) if a == b)
+            raise ValueError(f"duplicate index {dup}")
         object.__setattr__(self, "members", mem)
 
     @classmethod
@@ -162,8 +165,7 @@ class Cosupport:
 
     @property
     def complement(self) -> tuple[int, ...]:
-        mem = set(self.members)
-        return tuple(i for i in range(self.n) if i not in mem)
+        return tuple(sorted(set(range(self.n)).difference(self.members)))
 
     @property
     def size(self) -> int:

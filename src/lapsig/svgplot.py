@@ -3,7 +3,8 @@
 CSV files are the canonical artifacts; these plots are a convenience for
 eyeballing signals, so the writer sticks to polylines, axes, tick labels
 and a legend with no plotting dependency.  Output is deterministic for
-identical inputs.
+identical inputs: every point coordinate is exactly Python's ``"{:.2f}"``
+of the same double, written for a whole curve at once by numpy.
 """
 
 from __future__ import annotations
@@ -47,11 +48,14 @@ def line_plot_svg(path, series, title: str = "", xlabel: str = "", ylabel: str =
     plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
     plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
 
-    def sx(x: float) -> float:
+    def sx(x):
         return _MARGIN_L + plot_w * x / (npts - 1)
 
-    def sy(y: float) -> float:
+    def sy(y):
         return _MARGIN_T + plot_h * (hi - y) / (hi - lo)
+
+    cx = sx(np.arange(npts))  # the same doubles, element by element, as sx(i)
+    cx_text = _fixed2(cx)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
@@ -85,15 +89,14 @@ def line_plot_svg(path, series, title: str = "", xlabel: str = "", ylabel: str =
 
     for rank, ((label, _), y) in enumerate(zip(series, ys)):
         color = _COLORS[rank % len(_COLORS)]
-        points = " ".join(f"{sx(i):.2f},{sy(v):.2f}" for i, v in enumerate(y))
+        cy = sy(y)
         parts.append(
-            f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>'
+            f'<polyline points="{_points(cx, cx_text, cy)}" fill="none" stroke="{color}" '
+            'stroke-width="1.5"/>'
         )
         if npts <= 96:
-            for i, v in enumerate(y):
-                parts.append(
-                    f'<circle cx="{sx(i):.2f}" cy="{sy(v):.2f}" r="2" fill="{color}"/>'
-                )
+            circle = '<circle cx="{:.2f}" cy="{:.2f}" r="2" fill="%s"/>' % color
+            parts.extend(map(circle.format, cx.tolist(), cy.tolist()))
         ly = _MARGIN_T + 16 + 16 * rank
         lx = _WIDTH - _MARGIN_R - 150
         parts.append(
@@ -125,6 +128,57 @@ def line_plot_svg(path, series, title: str = "", xlabel: str = "", ylabel: str =
     parts.append("</svg>")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(parts) + "\n")
+
+
+def _points(xs: np.ndarray, xs_text, ys: np.ndarray) -> str:
+    """The polyline text "x,y x,y ...", each coordinate as ``"{:.2f}"`` writes
+    it; ``xs_text`` is ``_fixed2(xs)``, shared by the curves of one plot."""
+    ys_text = _fixed2(ys)
+    if xs_text is None or ys_text is None:
+        return " ".join(map("{:.2f},{:.2f}".format, xs.tolist(), ys.tolist()))
+    sep = np.full((xs.size, 1), ord(","), dtype=np.uint8)
+    cells = np.hstack([xs_text, sep, ys_text, sep])
+    cells[:, -1] = ord(" ")
+    text = cells.ravel()
+    return text[text != 0].tobytes()[:-1].decode("ascii")
+
+
+def _fixed2(v: np.ndarray) -> np.ndarray | None:
+    """The bytes of ``"{:.2f}"`` of each value, one right-aligned row per
+    value with 0 bytes as padding; None when a value is not finite or not
+    below 2^33 in magnitude.
+
+    Python rounds the exact double half to even.  Dekker's two-product
+    gives ``|v| * 100`` exactly as ``p + err`` with ``|err| <= ulp(p) / 2``
+    (100 needs no split).  The distance of ``p`` from the half above
+    ``floor(p)`` is 0 or at least ulp(p), so ``err`` decides only a tie of
+    ``p`` itself, and there is no band of doubtful values.
+    """
+    mag = np.abs(v)
+    if not (mag < 2.0**33).all():
+        return None
+    p = mag * 100.0
+    c = 134217729.0 * mag  # 2^27 + 1
+    hi = c - (c - mag)
+    err = (hi * 100.0 - p) + (mag - hi) * 100.0
+    whole = np.floor(p)
+    tie = (p - whole) - 0.5
+    cents = whole.astype(np.int64)
+    cents += (tie > 0) | ((tie == 0) & ((err > 0) | ((err == 0) & (cents % 2 == 1))))
+    units, frac = np.divmod(cents, 100)
+    width = len(str(int(units.max())))
+    out = np.zeros((v.size, width + 4), dtype=np.uint8)  # sign, digits, ".", 2 digits
+    lead = np.full(v.size, width)  # column of the leading digit
+    for j in range(width):
+        shown = (units >= 10**j) | (j == 0)
+        out[:, width - j] = np.where(shown, units // 10**j % 10 + ord("0"), 0)
+        lead[shown] = width - j
+    neg = np.flatnonzero(np.signbit(v))
+    out[neg, lead[neg] - 1] = ord("-")
+    out[:, width + 1] = ord(".")
+    out[:, width + 2] = frac // 10 + ord("0")
+    out[:, width + 3] = frac % 10 + ord("0")
+    return out
 
 
 def _escape(text: str) -> str:

@@ -16,7 +16,7 @@ import numpy as np
 from .circulant import _connected_pinv, _cycle_pinv_value, _inverse_row, _invertible_spectrum
 from .circulant import perturbation_factor, pinv_residual_allowance
 from .graphs import CirculantSpec, Cosupport, Graph, _apply_laplacian, _circulant_times
-from .graphs import _within_hops, complete_graph
+from .graphs import _whole, _within_hops, complete_graph
 from .linalg import ZERO_FLOOR, _require_finite, _require_tolerance
 from .analysis import ZERO_TEST_TOL, _annihilated, nullspace_basis
 
@@ -50,7 +50,7 @@ def synthesize(g: Graph | CirculantSpec, support, coeffs) -> np.ndarray:
     ``l_pinv[:, support]`` holds them, so BLAS rounds the product the same
     way for a Graph and a spec.
     """
-    sup = [int(i) for i in support]
+    sup = [_whole(i, "support index") for i in support]
     for i in sup:
         if i < 0 or i >= g.n:
             raise ValueError(f"support index {i} out of range for n={g.n}")

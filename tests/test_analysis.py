@@ -77,6 +77,15 @@ class TestSamplingMatrix:
         with pytest.raises(ValueError):
             sampling_matrix((5,), 4)
 
+    @pytest.mark.parametrize("bad", [2.7, float("inf"), float("nan")])
+    def test_refuses_an_index_that_is_not_whole(self, bad):
+        with pytest.raises(ValueError, match="^index must be a whole number"):
+            sampling_matrix([bad], 4)
+
+    def test_takes_whole_floats_and_numpy_integers(self):
+        np.testing.assert_array_equal(sampling_matrix([2.0, np.int64(0)], 4),
+                                      sampling_matrix([2, 0], 4))
+
 
 class TestNullspaceBasis:
     def test_single_support_vertex_is_constants_only(self):

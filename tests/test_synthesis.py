@@ -88,6 +88,16 @@ class TestSynthesize:
         with pytest.raises(ValueError, match="count"):
             synthesize(g, (1, 2), (1.0,))
 
+    @pytest.mark.parametrize("bad", [1.6, float("inf"), float("nan")])
+    def test_refuses_a_support_index_that_is_not_whole(self, bad):
+        with pytest.raises(ValueError, match="^support index must be a whole number"):
+            synthesize(cycle_graph(5), (bad, 3), (1.0, -1.0))
+
+    def test_takes_whole_floats_and_numpy_integers(self):
+        g = cycle_graph(5)
+        np.testing.assert_array_equal(synthesize(g, (1.0, np.int64(3)), (1.0, -1.0)),
+                                      synthesize(g, (1, 3), (1.0, -1.0)))
+
     def test_numerically_disconnected_graph_is_refused(self):
         g = Graph(5, ((0, 1, 1.0), (1, 2, 1e-300), (2, 3, 1.0), (3, 4, 1.0)))
         with pytest.raises(ValueError, match="numerically disconnected"):
