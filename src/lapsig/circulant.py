@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import CirculantSpec, Graph, _circulant, _circulant_times, _circulant_view
-from .graphs import _laplacian_row, connected_components, laplacian
+from .graphs import CirculantSpec, Graph, _as_circulant, _circulant, _circulant_times
+from .graphs import _circulant_view, _laplacian_row, connected_components, laplacian
 from .linalg import _EPS, ZERO_FLOOR, _invert_spectrum, _require_finite, _require_nullity
 from .linalg import eig_symmetric
 
@@ -147,9 +147,14 @@ def laplacian_pinv(g: Graph | CirculantSpec) -> np.ndarray:
        below the zero cutoff the dense eigensolve uses count as zero, the
        rest are inverted, and L^+ is the circulant whose first row is the
        inverse DFT of those reciprocals.  A circulant spec always takes this
-       rule.  So does a Graph whose dense Laplacian is exactly (bit for bit)
-       the circulant of its own first row, as the compiled unit- and
-       integer-weight circulants, cycles and complete graphs are.
+       rule, and so does a Graph that ``graphs._as_circulant`` recognises
+       from its edge list (its edge set equals its shift by one, and every
+       weight is a whole number with the degree below 2^53, as in compiled
+       unit- and integer-weight circulants, cycles and complete graphs).
+       Such a Graph forms no n x n array before the result: its component
+       count is gcd(n, hops) and its Laplacian row comes from its spec.
+       Any other Graph builds its dense Laplacian, and takes this rule when
+       that is exactly (bit for bit) the circulant of its own first row.
     2. Any other connected Graph takes one linear solve,
        L^+ = (L + (s/n) 11^T)^{-1} - 11^T/(s n) with s the largest degree,
        once a Cholesky of the shifted matrix minus a margin certifies that
@@ -163,10 +168,25 @@ def laplacian_pinv(g: Graph | CirculantSpec) -> np.ndarray:
     against the others) raises ValueError, and so does a non-finite
     Laplacian.
     """
-    if isinstance(g, Graph):
+    spec = _as_circulant(g)
+    if spec is None:
         pinv, circulant = _dense_pinv(laplacian(g), connected_components(g))
         return pinv.copy() if circulant else pinv
-    return _circulant(_laplacian_row_pinv(_laplacian_row(g), connected_components(g)))
+    return _circulant(_laplacian_row_pinv(_first_row(g, spec), connected_components(spec)))
+
+
+def _first_row(g: Graph | CirculantSpec, spec: CirculantSpec) -> np.ndarray:
+    """The first Laplacian row of ``g``, whose spec is ``spec``.
+
+    A Graph's row is ``laplacian(g)[0]`` sign for sign: ``laplacian``
+    negates the adjacency, so its zeros off the edges are -0.0 where
+    ``_laplacian_row`` writes +0.0.  ``_dense_pinv`` takes that same row, so
+    the Graph's L^+ keeps its bytes whichever test recognised it.
+    """
+    row = _laplacian_row(spec)
+    if isinstance(g, Graph):
+        row[1:] = -np.abs(row[1:])
+    return row
 
 
 def _dense_pinv(lap: np.ndarray, components: int, cols=None) -> tuple[np.ndarray, bool]:
@@ -178,7 +198,10 @@ def _dense_pinv(lap: np.ndarray, components: int, cols=None) -> tuple[np.ndarray
     DFT rule as the read-only strided view of its first row, with no n x n
     array (a copy of its columns when ``cols`` is given).  The test is exact
     equality; row 1 against row 0 shifted by one rejects almost every other
-    graph in O(n) before the whole matrix is compared.  A non-finite
+    graph in O(n) before the whole matrix is compared.  It is the dense
+    test: the Graphs that ``graphs._as_circulant`` recognises from their
+    edge list never build ``lap``, and this one serves the rest (such as
+    circulants with non-integer weights) and ``lapsig operators``.  A non-finite
     Laplacian is refused next, with the eigensolve's message.  A connected
     one then takes ``_certified_pinv``'s solve for only the requested
     columns.  A disconnected one, or one whose certificate fails, takes the
@@ -283,23 +306,29 @@ def _connected_pinv(g: Graph | CirculantSpec, cols=None):
     connected graphs.
 
     The components are counted once, and a disconnected graph is refused
-    before L is built.  A Graph's L is built once and goes to
-    ``_dense_pinv``; L is None for a spec, whose L^+ comes from the DFT of
-    its Laplacian's first row.  ``circulant`` says whether L is.  All of L^+
-    comes by default, as the read-only strided view when L is circulant;
-    the columns ``cols`` come C-contiguous, as ``np.take`` gathers them.
+    before L is built.  A spec, or a Graph that ``graphs._as_circulant``
+    recognises from its edge list (every weight a whole number), is counted
+    by gcd(n, hops) with no BFS; its L and L^+ are the read-only strided
+    views of their first rows, so no n x n array is formed.  Any other Graph
+    builds its dense L once and passes it to ``_dense_pinv``, whose dense
+    test still finds a circulant with other weights.  ``circulant`` says
+    whether L is circulant.  All of L^+ comes by default, as the read-only strided view
+    when L is circulant; the columns ``cols`` come C-contiguous, as
+    ``np.take`` gathers them.
     """
-    components = connected_components(g)
+    spec = _as_circulant(g)
+    components = connected_components(g if spec is None else spec)
     if components != 1:
         raise ValueError(
             f"graph has {components} connected components; this needs a connected graph"
         )
-    if isinstance(g, Graph):
+    if spec is None:
         lap = laplacian(g)
         pinv, circulant = _dense_pinv(lap, 1, cols)
     else:
-        lap, circulant = None, True
-        pinv = _circulant_view(_laplacian_row_pinv(_laplacian_row(g), 1))
+        row = _first_row(g, spec)
+        lap, circulant = _circulant_view(row), True
+        pinv = _circulant_view(_laplacian_row_pinv(row, 1))
         if cols is not None:
             pinv = pinv[:, cols]
     if cols is not None:

@@ -8,6 +8,7 @@ matrices are reproducible run to run.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import re
@@ -250,6 +251,49 @@ def laplacian(g: Graph | CirculantSpec) -> np.ndarray:
     return lap
 
 
+def _as_circulant(g: Graph | CirculantSpec) -> CirculantSpec | None:
+    """The spec of a circulant graph read from its edge list, with no n x n
+    array: ``g`` itself when it is a spec, the spec that a Graph's vertex 0
+    edges give when the edge test recognises it, and None otherwise.
+
+    The test: the weighted edge set equals its shift i -> i + 1 (mod n).  The
+    edge count m (2m a multiple of n) and then the per-vertex edge counts
+    reject most other graphs in O(1) and O(m); one sort of the m shifted
+    edge keys is then compared with the sorted keys.  Edge (0, j) gives hop
+    min(j, n - j).
+
+    The test is taken only when every weight is a whole number and the
+    degree is below 2^53.  Every degree sum is then exact in any order, so
+    the test passes exactly when ``laplacian(g)`` is bit for bit the
+    circulant of its first row, which is the dense test of
+    ``circulant._dense_pinv``.  Any other weights, n = 1 and a graph with no
+    edge give None, and they keep the dense test.
+    """
+    if isinstance(g, CirculantSpec):
+        return g
+    n, m = g.n, len(g.edges)
+    if n < 2 or m == 0 or 2 * m % n:
+        return None
+    flat = np.fromiter(itertools.chain.from_iterable(g.edges), float, 3 * m).reshape(m, 3)
+    ends, weights = flat[:, :2].astype(np.intp), flat[:, 2]
+    if (np.bincount(ends.ravel(), minlength=n) != 2 * m // n).any():
+        return None
+    if (weights != np.floor(weights)).any():
+        return None
+    shifted = (ends + 1) % n
+    keys = shifted.min(axis=1) * n + shifted.max(axis=1)
+    order = np.argsort(keys)  # edges are sorted by (i, j), so by i * n + j
+    if not (np.array_equal(keys[order], ends[:, 0] * n + ends[:, 1])
+            and np.array_equal(weights[order], weights)):
+        return None
+    first = slice(0, 2 * m // n)  # vertex 0's edges lead, as (0, j)
+    js, ws = ends[first, 1].tolist(), weights[first].tolist()
+    if sum(map(int, ws)) >= 2**53:  # the degree, summed exactly
+        return None
+    hops = {min(j, n - j): w for j, w in zip(js, ws)}
+    return CirculantSpec(n, tuple(hops.items()))
+
+
 def _apply_laplacian(g: Graph | CirculantSpec, x: np.ndarray) -> np.ndarray:
     """L x for a signal x, or L X for every column of a matrix X.
 
@@ -328,17 +372,15 @@ def hop_distances(g: Graph) -> np.ndarray:
     return dist
 
 
-def _within_hops(lap: np.ndarray, k: int, cols) -> np.ndarray:
-    """Boolean mask of the vertex pairs at most k >= 1 hops apart, in the
-    columns ``cols`` (an index list, or ``slice(None)`` for all n).
+def _within_hops(lap: np.ndarray, k: int) -> np.ndarray:
+    """Boolean mask of the vertex pairs at most k >= 1 hops apart.
 
-    Columns ``cols`` of the pattern of (I + A)^k, taken one hop at a time:
-    each product of 0/1 patterns holds counts no larger than n, so the
-    float test is exact.
+    The pattern of (I + A)^k, taken one hop at a time: each product of 0/1
+    patterns holds counts no larger than n, so the float test is exact.
     """
     step = (lap != 0.0).astype(float)
     np.fill_diagonal(step, 1.0)
-    reach = step[:, cols]
+    reach = step
     for _ in range(k - 1):
         reach = step @ reach
         np.minimum(reach, 1.0, out=reach)
@@ -351,7 +393,7 @@ def khop_localization_check(g: Graph, k: int) -> bool:
         raise ValueError("hop order k must be >= 1")
     lap = laplacian(g)
     lk = np.linalg.matrix_power(lap, k)
-    far = ~_within_hops(lap, k, slice(None))
+    far = ~_within_hops(lap, k)
     if not far.any():
         return True
     scale = max(float(np.abs(lk).max()), 1.0)

@@ -9,6 +9,8 @@ of the same double, written for a whole curve at once by numpy.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = ["line_plot_svg"]
@@ -38,8 +40,9 @@ def line_plot_svg(path, series, title: str = "", xlabel: str = "", ylabel: str =
         if not np.isfinite(y).all():
             raise ValueError(f"series {label!r} has non-finite values")
 
-    lo = min(float(y.min()) for y in ys)
-    hi = max(float(y.max()) for y in ys)
+    y_lo = min(float(y.min()) for y in ys)
+    y_hi = max(float(y.max()) for y in ys)
+    lo, hi = y_lo, y_hi
     if hi - lo <= 0.0:
         lo, hi = lo - 1.0, hi + 1.0
     pad = 0.05 * (hi - lo)
@@ -47,6 +50,10 @@ def line_plot_svg(path, series, title: str = "", xlabel: str = "", ylabel: str =
 
     plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
     plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
+    # a span that overflows, or a constant too large for the +-1 to show,
+    # would write inf or nan coordinates
+    if not 0.0 < plot_h * (hi - lo) < math.inf:
+        raise ValueError(f"series range [{y_lo!r}, {y_hi!r}] cannot be scaled to the plot")
 
     def sx(x):
         return _MARGIN_L + plot_w * x / (npts - 1)

@@ -16,7 +16,7 @@ import numpy as np
 from .circulant import _connected_pinv, _cycle_pinv_value, _inverse_row, _invertible_spectrum
 from .circulant import perturbation_factor, pinv_residual_allowance
 from .graphs import CirculantSpec, Cosupport, Graph, _apply_laplacian, _circulant_times
-from .graphs import _whole, _within_hops, complete_graph
+from .graphs import _circulant_view, _whole, _within_hops, complete_graph
 from .linalg import ZERO_FLOOR, _require_finite, _require_tolerance
 from .analysis import ZERO_TEST_TOL, _annihilated, nullspace_basis
 
@@ -85,19 +85,29 @@ def edge_knot_residual(g: Graph) -> float:
     The residual is M S^T with M = L L^+ - I, and its column for edge
     (i, j) is sqrt(w) (M[:, i] - M[:, j]).  When L is circulant so is M,
     and that column is the column of edge (0, j - i) shifted by i; vertex
-    0's edges carry every offset with its weight, so they alone decide the
-    max, and M^T is formed only at the vertices they touch.
+    0's edges carry every offset s with its weight, so they alone decide
+    the max: max_s sqrt(w_s) |m - roll(m, s)|_max, with m the first row of
+    M, a product of first rows.  So a circulant knot pair that the edge-list
+    test recognises (whole-number weights; see ``laplacian_pinv``) forms no
+    n x n array; a circulant with other weights builds L for the dense test
+    first.  Any other Graph forms M^T = L^+ L - I at the vertices its edges
+    touch.
     """
     lap, l_pinv, circulant = _connected_pinv(g)
-    cols = [0] if circulant else slice(None)
+    if circulant:
+        row = lap[0]
+        m_row = _circulant_times(row, l_pinv[0])
+        m_row[0] -= 1.0
+        hops = np.flatnonzero(row[1:]) + 1  # vertex 0's edges (0, s)
+        ends = np.column_stack([np.zeros_like(hops), hops])
+        return _max_abs_times_incidence_t(_circulant_view(m_row), ends, np.sqrt(-row[hops]))
     ends, roots = _edge_ends(g)
-    keep = np.isin(ends[:, 0], np.arange(g.n)[cols])  # every edge, or vertex 0's
-    verts, ends = np.unique(ends[keep], return_inverse=True)
+    verts, ends = np.unique(ends, return_inverse=True)
     rows = l_pinv[verts]
     del l_pinv  # freed before the product
     m_t = rows @ lap  # rows verts of M^T = L^+ L - I
     m_t[np.arange(verts.size), verts] -= 1.0
-    return _max_abs_times_incidence_t(m_t, ends.reshape(-1, 2), roots[keep])
+    return _max_abs_times_incidence_t(m_t, ends.reshape(-1, 2), roots)
 
 
 def _edge_ends(g: Graph) -> tuple[np.ndarray, np.ndarray]:
@@ -119,8 +129,8 @@ def _max_abs_times_incidence_t(a_t: np.ndarray, ends: np.ndarray, roots: np.ndar
     peaks = []
     for first in range(0, len(ends), step):
         part = slice(first, first + step)
-        cols = np.take(a_t, ends[part, 0], axis=0)
-        cols -= np.take(a_t, ends[part, 1], axis=0)
+        cols = a_t[ends[part, 0]]  # reads a strided view in place; np.take copies it whole
+        cols -= a_t[ends[part, 1]]
         cols *= roots[part, None]
         peaks.append(np.abs(cols).max())
     return float(np.max(peaks, initial=0.0))
@@ -134,19 +144,33 @@ def two_hop_knot_check(g: Graph, j: int) -> tuple[float, bool | None]:
     equals the support of Laplacian column j.  When the graph has diameter
     <= 2 the squared Laplacian has no structural zeros, the atom is not
     sparse with respect to it, and knot_match is None (not applicable).
-    Both maxima read only the columns that decide them: when L is circulant
-    every column of L (L L^+) - L and of the two-hop pattern is a cyclic
-    shift of column 0, and L L is never formed.
+
+    When L is circulant every column of L (L L^+) - L is a cyclic shift of
+    column 0, so first rows decide: the residual is |L (L p) - r|_max with
+    r and p the first rows of L and L^+, the diameter is at most 2 when
+    vertex 0's hops and their pairwise sums cover Z_n, and column j is
+    column 0 shifted by j.  So a circulant knot pair that the edge-list test
+    recognises (whole-number weights; see ``laplacian_pinv``) forms no n x n
+    array; a circulant with other weights builds L for the dense test first.
+    Any other Graph forms L (L L^+) and the pattern of (I + A)^2.
     """
     if j < 0 or j >= g.n:
         raise ValueError(f"vertex {j} out of range for n={g.n}")
     lap, l_pinv, circulant = _connected_pinv(g)
-    cols = [0] if circulant else slice(None)
-    prod = lap @ (lap @ l_pinv[:, cols])
-    prod -= lap[:, cols]
+    if circulant:
+        row = lap[0]
+        prod = _circulant_times(row, _circulant_times(row, l_pinv[0]))
+        residual = float(np.abs(prod - row).max())
+        reach = (row != 0.0).astype(float)  # vertex 0 and its hops
+        if (_circulant_times(reach, reach) > 0.0).all():  # diameter at most 2
+            return residual, None
+        detected = _support(np.roll(prod, j))
+        return residual, detected == tuple(np.flatnonzero(np.roll(row, j)).tolist())
+    prod = lap @ (lap @ l_pinv)
+    prod -= lap
     residual = float(np.abs(prod, out=prod).max())
     del prod  # freed before the pattern test forms its n x n arrays
-    if _within_hops(lap, 2, cols).all():  # diameter at most 2
+    if _within_hops(lap, 2).all():  # diameter at most 2
         return residual, None
     detected = _support(lap @ (lap @ l_pinv[:, j]))
     return residual, detected == tuple(np.flatnonzero(lap[:, j]).tolist())

@@ -13,6 +13,7 @@ from lapsig.circulant import (
     _certified_pinv,
     _connected_pinv,
     _dense_pinv,
+    _first_row,
     cycle_laplacian,
     cycle_pinv,
     cycle_representer,
@@ -24,8 +25,9 @@ from lapsig.circulant import (
     transform_inverse,
 )
 from lapsig.analysis import nullspace_basis
-from lapsig.graphs import CirculantSpec, Cosupport, Graph, compile_circulant, connected_components
-from lapsig.graphs import _laplacian_row, laplacian, random_circulant_spec, random_connected_graph
+from lapsig.graphs import CirculantSpec, Cosupport, Graph, compile_circulant, complete_graph
+from lapsig.graphs import connected_components, cycle_graph, laplacian, random_circulant_spec
+from lapsig.graphs import _as_circulant, _circulant_view, _laplacian_row, random_connected_graph
 from lapsig.linalg import column_space_equal, eig_symmetric, mpp_axiom_residuals, pseudoinverse
 from lapsig.synthesis import cyclic_difference, synthesize
 from lapsig.verification import AXIOM_RTOL, SPECTRAL_PINV_RTOL
@@ -478,7 +480,8 @@ class TestSpecDispatch:
                 _connected_pinv(spec, cols)
             return
         lap, got, circulant = _connected_pinv(spec, cols)
-        assert lap is None and circulant
+        assert circulant and not lap.flags.writeable  # the strided view of its first row
+        np.testing.assert_array_equal(lap, laplacian(spec))
         assert got.flags.c_contiguous
         np.testing.assert_array_equal(got, laplacian_pinv(spec)[:, cols])
 
@@ -502,6 +505,77 @@ class TestSpecDispatch:
         cos = Cosupport.from_support(spec.n, support)
         ours = nullspace_basis(spec, cos).matrix()
         assert column_space_equal(ours, nullspace_basis(compile_circulant(spec), cos).matrix())
+
+
+@st.composite
+def _recognition_cases(draw):
+    """Graphs for the edge test: compiled circulants of every weight kind
+    (the wrap hop and disconnected ones included), cycles, complete graphs,
+    n = 1 and 2, random graphs, and shift-invariant edge sets with one
+    weight changed."""
+    kind = draw(st.sampled_from(["compiled", "cycle", "complete", "small", "random", "reweighted"]))
+    if kind == "compiled":
+        return compile_circulant(draw(circulant_specs(n_max=48)))
+    if kind == "cycle":
+        return cycle_graph(draw(st.integers(3, 40)))
+    if kind == "complete":
+        return complete_graph(draw(st.integers(2, 24)))
+    if kind == "small":
+        weight = draw(st.sampled_from([1.0, 3.0, 0.5, 2.0**53]))
+        return draw(st.sampled_from([Graph(1, ()), Graph(2, ()), Graph(2, ((0, 1, weight),))]))
+    if kind == "random":
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        weights = draw(st.sampled_from(["unit", "integer", "uniform"]))
+        return random_connected_graph(draw(st.integers(1, 30)), rng, draw(st.floats(0.0, 1.0)),
+                                      weights)
+    g = compile_circulant(draw(circulant_specs(n_max=48, kinds=("integer", "unit"))))
+    edges = list(g.edges)
+    i, j, w = edges[draw(st.integers(0, len(edges) - 1))]
+    edges[edges.index((i, j, w))] = (i, j, w + draw(st.sampled_from([1.0, 0.5])))
+    return Graph(g.n, tuple(edges))
+
+
+class TestEdgeListRecognition:
+    """``graphs._as_circulant`` chooses the DFT L^+ exactly when the dense
+    test of ``_dense_pinv`` would, wherever it is taken, and the choice keeps
+    every byte."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(_recognition_cases())
+    @example(Graph(4, ()))  # the dense test passes, and no spec has no hop
+    @example(compile_circulant(CirculantSpec(8, ((1, 2.0**51), (4, 2.0**51)))))  # degree 3 * 2^51
+    @example(compile_circulant(CirculantSpec(8, ((1, 2.0**52), (4, 2.0**52)))))  # degree 3 * 2^52
+    @example(compile_circulant(CirculantSpec(12, ((3, 2.0), (6, 1.0)))))  # 3 components
+    @example(compile_circulant(CirculantSpec(12, ((1, 0.5), (4, 1.25)))))  # dyadic weights
+    def test_edge_test_chooses_as_the_dense_test(self, g):
+        lap = laplacian(g)
+        dense = lap.shape[0] > 1 and np.array_equal(lap, _circulant_view(lap[0]))
+        weights = [w for *_, w in g.edges]
+        degrees = [0] * g.n
+        for i, j, w in g.edges:
+            if w.is_integer():
+                degrees[i] += int(w)
+                degrees[j] += int(w)
+        taken = all(w.is_integer() for w in weights) and max(degrees) < 2**53
+        spec = _as_circulant(g)
+        assert (spec is not None) == (dense and taken and g.n > 1 and bool(weights))
+        if spec is None:
+            return
+        assert compile_circulant(spec) == g
+        assert connected_components(spec) == connected_components(g)  # gcd against the BFS
+        # laplacian(g) bit for bit, its -0.0 off the edges included
+        assert np.ascontiguousarray(_circulant_view(_first_row(g, spec))).tobytes() == lap.tobytes()
+        try:
+            want = _dense_pinv(lap, connected_components(g))[0]
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=str(exc)):
+                laplacian_pinv(g)
+        else:
+            assert laplacian_pinv(g).tobytes() == np.ascontiguousarray(want).tobytes()
+
+    def test_a_spec_is_its_own(self):
+        spec = CirculantSpec(9, ((3, 1.0),))
+        assert _as_circulant(spec) is spec
 
 
 class TestDecayProfile:

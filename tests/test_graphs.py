@@ -244,11 +244,9 @@ class TestHopLocalization:
             if kind == "disconnected":
                 g = Graph(n, tuple(e for e in g.edges if rng.random() < 0.7))
         dist = hop_distances(g)
-        cols = sorted({0, n // 2, n - 1})
         for k in range(1, 5):
             reach = (dist >= 0) & (dist <= k)
-            np.testing.assert_array_equal(_within_hops(laplacian(g), k, slice(None)), reach)
-            np.testing.assert_array_equal(_within_hops(laplacian(g), k, cols), reach[:, cols])
+            np.testing.assert_array_equal(_within_hops(laplacian(g), k), reach)
 
 
 class TestCosupport:

@@ -543,19 +543,28 @@ class TestKnotPath:
     circulant, and the certified solve on any other connected graph."""
 
     def test_circulant_graph_skips_the_eigensolve(self, eigh_calls, monkeypatch):
+        # recognised from its edge list: no Laplacian, BFS, hop pattern or
+        # n x n L^+ is formed, and no factorisation runs
         def refuse(*args, **kwargs):
-            raise AssertionError("n x n L^+ of a circulant Graph")
+            raise AssertionError("dense Laplacian work on a circulant Graph")
 
-        monkeypatch.setattr(circulant, "_circulant", refuse)
-        monkeypatch.setattr(circulant, "eig_symmetric", refuse)
-        products = _record_laplacian_products(monkeypatch)
+        for module, name in [
+            (circulant, "_circulant"),
+            (circulant, "eig_symmetric"),
+            (circulant, "laplacian"),
+            (graphs, "laplacian"),
+            (graphs, "adjacency"),
+            (graphs, "_within_hops"),
+            (synthesis, "_within_hops"),
+            (graphs, "_neighbor_lists"),  # the BFS of connected_components
+        ]:
+            monkeypatch.setattr(module, name, refuse)
         g = compile_circulant(CirculantSpec(64, ((1, 1.0), (2, 3.0), (7, 2.0))))
         residual, match = two_hop_knot_check(g, 5)
         assert residual < 1e-9
         assert match is True
         assert edge_knot_residual(g) < 1e-9
         assert eigh_calls == []
-        assert products and ((64, 64), (64, 64)) not in products  # no n^3 product
 
     def test_random_graph_takes_one_certified_solve_each(
         self, eigh_calls, cholesky_calls, monkeypatch
@@ -580,6 +589,9 @@ class TestKnotPath:
     @example(g=compile_circulant(CirculantSpec(12, ((2, 2.0), (5, 1.0), (6, 4.0)))), j=7)
     @example(g=complete_graph(7), j=4)
     @example(g=cycle_graph(9), j=2)
+    @example(g=compile_circulant(CirculantSpec(16, ((1, 2.0), (3, 1.0), (8, 5.0)))), j=11)
+    @example(g=compile_circulant(CirculantSpec(400, ((1, 3.0), (2, 1.0), (9, 4.0)))), j=123)
+    @example(g=compile_circulant(CirculantSpec(12, ((1, 0.5), (4, 1.25)))), j=3)  # dense test
     def test_circulant_graph_agrees_with_the_dense_oracle(self, g, j):
         # every column, with the eigensolve L^+ and the dense incidence
         j %= g.n
@@ -618,8 +630,7 @@ class TestKnotPath:
         dense = float(np.abs(lap @ lap @ pinv - lap).max())
         dense_edge = float(np.abs(lap @ (pinv @ st_mat) - st_mat).max())
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(circulant, "_dense_pinv",
-                          lambda lap, components, cols=None: (graphs._circulant_view(row), True))
+            patch.setattr(circulant, "_laplacian_row_pinv", lambda lap_row, components: row)
             assert two_hop_knot_check(g, 0)[0] == pytest.approx(dense, rel=1e-12)
             assert edge_knot_residual(g) == pytest.approx(dense_edge, rel=1e-12)
 
